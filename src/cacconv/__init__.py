@@ -7,7 +7,7 @@ against compute.
 """
 
 from .errors import DataFormatError, InvalidArgument, NumericFailure
-from .tensor import ColMatrix, conv2d, im2col, im2col_batch, kernel_matrix, vec2mat
+from .tensor import conv2d, im2col_batch, kernel_matrix
 from .cac import (
     CacConvParams,
     WindowPartition,
@@ -36,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CacConvParams",
     "CacCostBreakdown",
-    "ColMatrix",
     "CostReport",
     "DataFormatError",
     "InvalidArgument",
@@ -53,7 +52,6 @@ __all__ = [
     "conv2d_naive",
     "cost_penalty",
     "finite_diff_grad",
-    "im2col",
     "im2col_batch",
     "kernel_matrix",
     "madds_cac",
@@ -63,5 +61,4 @@ __all__ = [
     "rho_upper_bound",
     "score_map",
     "sobel_gradient",
-    "vec2mat",
 ]

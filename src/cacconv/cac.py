@@ -16,12 +16,11 @@ Two forward modes are provided:
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidArgument
 from .tensor import (
     channel_mean,
     check_finite,
@@ -81,15 +80,6 @@ class CacConvParams:
     @property
     def c_out(self) -> int:
         return self.weight.shape[3]
-
-    def astype(self, dtype) -> "CacConvParams":
-        return CacConvParams(
-            weight=self.weight.astype(dtype),
-            gamma=float(self.gamma),
-            beta=float(self.beta),
-            bias=None if self.bias is None else self.bias.astype(dtype),
-            pbar_mode=self.pbar_mode,
-        )
 
 
 @dataclass
@@ -312,6 +302,61 @@ def _partitions_per_sample(grad, score, mask) -> list[WindowPartition]:
     ]
 
 
+def _gated_forward(x: np.ndarray, params: CacConvParams, mix):
+    """Skeleton shared by both forwards.
+
+    Validates the input, evaluates the gate (score map and hard mask),
+    unrolls the windows and their representative pixels, then calls
+    ``mix(cols, pbar, w, score, mask)``.  ``mix`` returns the branch
+    output before bias, shape (N n^2, C_out), together with the
+    ``(y_kxk, y_1x1)`` branch values the soft backward needs.  Adds the
+    bias, returns to NCHW, and returns (out, partitions, cache).
+    """
+    n_batch, _, n = _validate_cac_input(x, params)
+    check_finite(x, "input")
+    w = params.weight.astype(x.dtype, copy=False)
+    grad, gx, gy, score = _gate_maps(x, params)
+    mask, _ = partition(score)
+    cols = im2col_batch(x, params.k)
+    pbar = _pbar_map(x, cols, params)
+    y, (y_kxk, y_1x1) = mix(cols, pbar, w, score, mask)
+    if params.bias is not None:
+        y = y + params.bias.astype(x.dtype, copy=False)[None, :]
+    out = np.ascontiguousarray(y.reshape(n_batch, n, n, params.c_out).transpose(0, 3, 1, 2))
+    cache = SoftCache(
+        x=x, cols=cols, pbar=pbar, gx=gx, gy=gy, grad=grad, score=score,
+        y_kxk=y_kxk, y_1x1=y_1x1, params=params,
+    )
+    return out, _partitions_per_sample(grad, score, mask), cache
+
+
+def _route(cols, pbar, w, score, mask):
+    """Hard routing: each output pixel takes the branch its mask selects.
+    Both branches accumulate one tap at a time in the pinned order."""
+    wmat = kernel_matrix(w)
+    wphi = aggregate_kernel(w)
+    n_cols = cols.shape[1]
+    c_out = w.shape[3]
+
+    y_kxk = np.zeros((n_cols, c_out), dtype=cols.dtype)
+    for r in range(wmat.shape[0]):
+        y_kxk += cols[r][:, None] * wmat[r][None, :]
+
+    y_1x1 = np.zeros((n_cols, c_out), dtype=cols.dtype)
+    for ci in range(pbar.shape[0]):
+        y_1x1 += pbar[ci][:, None] * wphi[ci][None, :]
+
+    return np.where(mask.reshape(-1)[:, None], y_kxk, y_1x1), (y_kxk, y_1x1)
+
+
+def _blend(cols, pbar, w, score, mask):
+    """Soft routing: each output pixel is the score-weighted blend."""
+    y_kxk = cols.T @ kernel_matrix(w)
+    y_1x1 = pbar.T @ aggregate_kernel(w)
+    m_flat = score.reshape(-1, 1)
+    return m_flat * y_kxk + (1.0 - m_flat) * y_1x1, (y_kxk, y_1x1)
+
+
 def cac_forward_hard(
     x: np.ndarray, params: CacConvParams
 ) -> tuple[np.ndarray, list[WindowPartition]]:
@@ -331,31 +376,8 @@ def cac_forward_hard(
     every output scalar is produced by the same floating-point sequence
     as the scalar reference loop.
     """
-    n_batch, c_in, n = _validate_cac_input(x, params)
-    check_finite(x, "input")
-    w = params.weight.astype(x.dtype, copy=False)
-    grad, _, _, score = _gate_maps(x, params)
-    mask = score > 0.5
-
-    cols = im2col_batch(x, params.k)
-    wmat = kernel_matrix(w)
-    wphi = aggregate_kernel(w)
-    n_cols = cols.shape[1]
-
-    y_kxk = np.zeros((n_cols, params.c_out), dtype=x.dtype)
-    for r in range(wmat.shape[0]):
-        y_kxk += cols[r][:, None] * wmat[r][None, :]
-
-    pbar = _pbar_map(x, cols, params)
-    y_1x1 = np.zeros((n_cols, params.c_out), dtype=x.dtype)
-    for ci in range(c_in):
-        y_1x1 += pbar[ci][:, None] * wphi[ci][None, :]
-
-    y = np.where(mask.reshape(-1)[:, None], y_kxk, y_1x1)
-    if params.bias is not None:
-        y = y + params.bias.astype(x.dtype, copy=False)[None, :]
-    out = np.ascontiguousarray(y.reshape(n_batch, n, n, params.c_out).transpose(0, 3, 1, 2))
-    return out, _partitions_per_sample(grad, score, mask)
+    out, partitions, _ = _gated_forward(x, params, _route)
+    return out, partitions
 
 
 def cac_forward_soft(
@@ -367,27 +389,7 @@ def cac_forward_soft(
     which coincides with the hard routing as the gate saturates and gives
     the gate parameters exact gradients from the task loss.
     """
-    n_batch, c_in, n = _validate_cac_input(x, params)
-    check_finite(x, "input")
-    w = params.weight.astype(x.dtype, copy=False)
-    grad, gx, gy, score = _gate_maps(x, params)
-    mask = score > 0.5
-
-    cols = im2col_batch(x, params.k)
-    y_kxk = cols.T @ kernel_matrix(w)
-    pbar = _pbar_map(x, cols, params)
-    y_1x1 = pbar.T @ aggregate_kernel(w)
-
-    m_flat = score.reshape(-1, 1)
-    y = m_flat * y_kxk + (1.0 - m_flat) * y_1x1
-    if params.bias is not None:
-        y = y + params.bias.astype(x.dtype, copy=False)[None, :]
-    out = np.ascontiguousarray(y.reshape(n_batch, n, n, params.c_out).transpose(0, 3, 1, 2))
-    cache = SoftCache(
-        x=x, cols=cols, pbar=pbar, gx=gx, gy=gy, grad=grad, score=score,
-        y_kxk=y_kxk, y_1x1=y_1x1, params=params,
-    )
-    return out, _partitions_per_sample(grad, score, mask), cache
+    return _gated_forward(x, params, _blend)
 
 
 def cac_backward(

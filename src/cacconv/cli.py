@@ -19,63 +19,9 @@ from .cost import model_cost
 from .data import Dataset, load_cifar10, synth_dataset
 from .errors import DataFormatError, InvalidArgument, NumericFailure
 from .ioutil import atomic_write_text
-from .layers import Network
+from .layers import Network, resolve_model_spec  # noqa: F401  resolve_model_spec is re-exported
 from .tensor import require
 from .train import evaluate, load_checkpoint, train_model
-
-
-def model_presets() -> dict:
-    """Built-in model specs addressable by name from a config."""
-
-    def stack(conv_type):
-        return {
-            "input": {"channels": 3, "size": 32},
-            "num_classes": 10,
-            "layers": [
-                {"type": conv_type, "out": 16, "k": 3},
-                {"type": "batchnorm"},
-                {"type": "relu"},
-                {"type": "avgpool", "k": 2},
-                {"type": conv_type, "out": 32, "k": 3},
-                {"type": "batchnorm"},
-                {"type": "relu"},
-                {"type": "avgpool", "k": 2},
-                {"type": conv_type, "out": 64, "k": 3},
-                {"type": "batchnorm"},
-                {"type": "relu"},
-                {"type": "global_avgpool"},
-                {"type": "linear", "out": 10},
-                {"type": "softmax_ce"},
-            ],
-        }
-
-    tiny = {
-        "input": {"channels": 3, "size": 32},
-        "num_classes": 2,
-        "layers": [
-            {"type": "cac_conv", "out": 8, "k": 3},
-            {"type": "batchnorm"},
-            {"type": "relu"},
-            {"type": "global_avgpool"},
-            {"type": "linear", "out": 2},
-            {"type": "softmax_ce"},
-        ],
-    }
-    return {
-        "cac_small": stack("cac_conv"),
-        "conv_small": stack("conv"),
-        "cac_tiny_synth": tiny,
-    }
-
-
-def resolve_model_spec(model) -> dict:
-    if isinstance(model, str):
-        presets = model_presets()
-        require(model in presets,
-                f"unknown model preset {model!r}; known: {sorted(presets)}")
-        return copy.deepcopy(presets[model])
-    require(isinstance(model, dict), "model must be a preset name or a spec mapping")
-    return copy.deepcopy(model)
 
 
 _DATASET_DEFAULTS = {
@@ -99,13 +45,28 @@ _OPTIMIZER_DEFAULTS = {
 }
 
 
+# JSON type of each scalar config field; float also takes integers, and
+# no numeric field takes true/false.
+_SCALAR_TYPES = {
+    "seed": int, "lam": float, "epochs": int, "batch_size": int,
+    "output_dir": str, "eval_every": int, "penalty_warmup_epochs": int,
+    "freeze_gates_sharp": bool, "augment": bool,
+}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+
+
+def _has_type(value, kind) -> bool:
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 @dataclass
 class RunConfig:
     """One experiment, loadable from flat JSON (the 'lambda' key maps to
     ``lam``)."""
 
     seed: int = 0
-    mode: str = "train"
     dataset: dict = field(default_factory=lambda: dict(_DATASET_DEFAULTS))
     model: object = "cac_small"
     lam: float = 0.3
@@ -119,13 +80,16 @@ class RunConfig:
     augment: bool = False
 
     def __post_init__(self):
+        for name, kind in _SCALAR_TYPES.items():
+            value = getattr(self, name)
+            label = "lambda" if name == "lam" else name
+            require(_has_type(value, kind),
+                    f"{label} must be {_TYPE_NAMES[kind]}, got {value!r}")
         require(self.lam >= 0, f"lambda must be non-negative, got {self.lam}")
         require(self.epochs >= 1, "epochs must be >= 1")
         require(self.batch_size >= 1, "batch_size must be >= 1")
         require(self.eval_every >= 0, "eval_every must be >= 0")
         require(self.penalty_warmup_epochs >= 0, "penalty_warmup_epochs must be >= 0")
-        require(self.mode in ("train", "eval", "analyze", "verify"),
-                f"unknown mode {self.mode!r}")
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
@@ -134,7 +98,7 @@ class RunConfig:
         if "lambda" in d:
             d["lam"] = d.pop("lambda")
         known = {
-            "seed", "mode", "dataset", "model", "lam", "optimizer", "epochs",
+            "seed", "dataset", "model", "lam", "optimizer", "epochs",
             "batch_size", "output_dir", "eval_every", "penalty_warmup_epochs",
             "freeze_gates_sharp", "augment",
         }
@@ -154,7 +118,6 @@ class RunConfig:
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,
-            "mode": self.mode,
             "dataset": dict(self.dataset),
             "model": copy.deepcopy(self.model),
             "lambda": self.lam,
@@ -204,7 +167,12 @@ def load_model(ckpt_path, model_spec_path=None) -> Network:
             f"model spec not found at {spec_path}; pass --model-spec explicitly"
         )
     with open(spec_path, "r", encoding="utf-8") as f:
-        meta = json.load(f)
+        try:
+            meta = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise InvalidArgument(f"{spec_path}: malformed JSON model spec: {exc}") from None
+    require(isinstance(meta, dict) and "model" in meta,
+            f"{spec_path}: model spec must be a JSON object with a 'model' key")
     net = Network.build(
         meta["model"], rng=np.random.default_rng(0),
         frozen_gates=bool(meta.get("freeze_gates_sharp", False)),

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidArgument
 from .tensor import require
 
 _INT64_MAX = 2**63 - 1

@@ -2,11 +2,14 @@
 
 Layers own their parameters as plain numpy arrays and fill ``self.grads``
 during backward.  A gated convolution in ``frozen_sharp`` mode runs the
-exact same code path as a plain convolution (shared helpers below), so a
-frozen network reproduces a standard-conv training trajectory bitwise.
+exact same code path as a plain convolution (``CacConv2d`` subclasses
+``Conv2d``), so a frozen network reproduces a standard-conv training
+trajectory bitwise.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -20,38 +23,11 @@ from .cost import LayerCostSpec
 from .errors import InvalidArgument
 from .tensor import (
     DEFAULT_DTYPE,
+    _conv2d_with_cols,
     col2im_batch,
-    im2col_batch,
     kernel_matrix,
     require,
 )
-
-
-def _dense_forward(x, weight, bias):
-    """Same-padding convolution via im2col; returns (y, cols) so backward
-    can reuse the column matrix."""
-    k = weight.shape[0]
-    n_batch, _, n, _ = x.shape
-    cols = im2col_batch(x, k)
-    y = cols.T @ kernel_matrix(weight)
-    if bias is not None:
-        y = y + bias[None, :]
-    out = np.ascontiguousarray(
-        y.reshape(n_batch, n, n, weight.shape[3]).transpose(0, 3, 1, 2)
-    )
-    return out, cols
-
-
-def _dense_backward(cols, weight, dy, has_bias):
-    k, _, c_in, c_out = weight.shape
-    n_batch, _, n, _ = dy.shape
-    dyf = dy.transpose(0, 2, 3, 1).reshape(-1, c_out)
-    dw = np.ascontiguousarray(
-        (cols @ dyf).reshape(c_in, k, k, c_out).transpose(1, 2, 0, 3)
-    )
-    db = dyf.sum(axis=0) if has_bias else None
-    dx = col2im_batch(kernel_matrix(weight) @ dyf.T, n_batch, c_in, n, k)
-    return dx, dw, db
 
 
 def kaiming_normal(rng, shape, fan_in, dtype):
@@ -85,9 +61,6 @@ class Layer:
     def zero_grads(self):
         self.grads = {}
 
-    def astype(self, dtype):
-        return self
-
 
 class Conv2d(Layer):
     def __init__(self, c_in, c_out, k, *, bias=True, rng, dtype=DEFAULT_DTYPE):
@@ -107,58 +80,51 @@ class Conv2d(Layer):
         return p
 
     def forward(self, x, train):
-        y, cols = _dense_forward(x, self.weight, self.bias)
+        y, cols = _conv2d_with_cols(x, self.weight, self.bias)
         self._cols = cols if train else None
         return y
 
     def backward(self, dy):
-        dx, dw, db = _dense_backward(self._cols, self.weight, dy, self.bias is not None)
-        self.grads = {"weight": dw}
-        if db is not None:
-            self.grads["bias"] = db
-        return dx
-
-    def astype(self, dtype):
-        self.weight = self.weight.astype(dtype)
+        k, c_in, c_out = self.k, self.c_in, self.c_out
+        n_batch, _, n, _ = dy.shape
+        dyf = dy.transpose(0, 2, 3, 1).reshape(-1, c_out)
+        self.grads = {
+            "weight": np.ascontiguousarray(
+                (self._cols @ dyf).reshape(c_in, k, k, c_out).transpose(1, 2, 0, 3)
+            ),
+        }
         if self.bias is not None:
-            self.bias = self.bias.astype(dtype)
-        return self
+            self.grads["bias"] = dyf.sum(axis=0)
+        return col2im_batch(kernel_matrix(self.weight) @ dyf.T, n_batch, c_in, n, k)
 
 
-class CacConv2d(Layer):
+class CacConv2d(Conv2d):
     """Gated convolution: full kernel on sharp windows, aggregated 1 x 1
     kernel on smooth ones.
 
     Training uses the differentiable soft blend; eval uses hard routing.
-    ``frozen_sharp`` bypasses the gate entirely and behaves as Conv2d
-    (the equivalence mode used to reproduce plain-conv baselines).
+    ``frozen_sharp`` bypasses the gate entirely and runs the Conv2d
+    forward and backward (the equivalence mode used to reproduce
+    plain-conv baselines).
     """
 
     def __init__(
         self, c_in, c_out, k, *, bias=True, pbar_mode="center",
         frozen_sharp=False, rng, dtype=DEFAULT_DTYPE,
     ):
-        super().__init__()
         require(k % 2 == 1 and k >= 3, f"gated conv needs odd k >= 3, got {k}")
-        self.k = k
-        self.c_in = c_in
-        self.c_out = c_out
+        # Conv2d draws the weight, so seeds align across the gated net and
+        # its plain baseline.
+        super().__init__(c_in, c_out, k, bias=bias, rng=rng, dtype=dtype)
         self.pbar_mode = pbar_mode
         self.frozen_sharp = frozen_sharp
-        # Same draw order and shapes as Conv2d so seeds align across the
-        # gated net and its plain baseline.
-        self.weight = kaiming_normal(rng, (k, k, c_in, c_out), c_in * k * k, dtype)
-        self.bias = np.zeros(c_out, dtype=dtype) if bias else None
         self.gate_gamma = np.ones(1, dtype=np.float64)
         self.gate_beta = np.zeros(1, dtype=np.float64)
         self._cache = None
-        self._cols = None
         self.last_partitions = None
 
     def params(self):
-        p = {"weight": self.weight}
-        if self.bias is not None:
-            p["bias"] = self.bias
+        p = super().params()
         if not self.frozen_sharp:
             p["gate_gamma"] = self.gate_gamma
             p["gate_beta"] = self.gate_beta
@@ -178,10 +144,8 @@ class CacConv2d(Layer):
 
     def forward(self, x, train):
         if self.frozen_sharp:
-            y, cols = _dense_forward(x, self.weight, self.bias)
-            self._cols = cols if train else None
             self.last_partitions = None
-            return y
+            return super().forward(x, train)
         if train:
             y, parts, cache = cac_forward_soft(x, self.conv_params())
             self._cache = cache
@@ -193,11 +157,7 @@ class CacConv2d(Layer):
 
     def backward(self, dy, extra_score_grad=None):
         if self.frozen_sharp:
-            dx, dw, db = _dense_backward(self._cols, self.weight, dy, self.bias is not None)
-            self.grads = {"weight": dw}
-            if db is not None:
-                self.grads["bias"] = db
-            return dx
+            return super().backward(dy)
         g = cac_backward(self._cache, dy, extra_score_grad)
         self.grads = {
             "weight": g.dweight,
@@ -215,12 +175,6 @@ class CacConv2d(Layer):
     def rho_hard(self) -> float:
         require(self.last_partitions is not None, "no gated forward recorded")
         return float(np.mean([p.rho_hard for p in self.last_partitions]))
-
-    def astype(self, dtype):
-        self.weight = self.weight.astype(dtype)
-        if self.bias is not None:
-            self.bias = self.bias.astype(dtype)
-        return self
 
 
 class BatchNorm2d(Layer):
@@ -268,13 +222,6 @@ class BatchNorm2d(Layer):
         s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
         s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
         return (inv_std[None, :, None, None] / m) * (m * dxhat - s1 - xhat * s2)
-
-    def astype(self, dtype):
-        self.gamma = self.gamma.astype(dtype)
-        self.beta = self.beta.astype(dtype)
-        self.running_mean = self.running_mean.astype(dtype)
-        self.running_var = self.running_var.astype(dtype)
-        return self
 
 
 class ReLU(Layer):
@@ -349,12 +296,6 @@ class Linear(Layer):
             self.grads["bias"] = dy.sum(axis=0)
         return dy @ self.weight.T
 
-    def astype(self, dtype):
-        self.weight = self.weight.astype(dtype)
-        if self.bias is not None:
-            self.bias = self.bias.astype(dtype)
-        return self
-
 
 class SoftmaxCrossEntropy:
     """Classification head: mean cross-entropy over the batch."""
@@ -371,6 +312,60 @@ class SoftmaxCrossEntropy:
         d = probs.copy()
         d[np.arange(len(labels)), labels] -= 1.0
         return d / len(labels)
+
+
+def model_presets() -> dict:
+    """Built-in model specs addressable by name from a config."""
+
+    def stack(conv_type):
+        return {
+            "input": {"channels": 3, "size": 32},
+            "num_classes": 10,
+            "layers": [
+                {"type": conv_type, "out": 16, "k": 3},
+                {"type": "batchnorm"},
+                {"type": "relu"},
+                {"type": "avgpool", "k": 2},
+                {"type": conv_type, "out": 32, "k": 3},
+                {"type": "batchnorm"},
+                {"type": "relu"},
+                {"type": "avgpool", "k": 2},
+                {"type": conv_type, "out": 64, "k": 3},
+                {"type": "batchnorm"},
+                {"type": "relu"},
+                {"type": "global_avgpool"},
+                {"type": "linear", "out": 10},
+                {"type": "softmax_ce"},
+            ],
+        }
+
+    tiny = {
+        "input": {"channels": 3, "size": 32},
+        "num_classes": 2,
+        "layers": [
+            {"type": "cac_conv", "out": 8, "k": 3},
+            {"type": "batchnorm"},
+            {"type": "relu"},
+            {"type": "global_avgpool"},
+            {"type": "linear", "out": 2},
+            {"type": "softmax_ce"},
+        ],
+    }
+    return {
+        "cac_small": stack("cac_conv"),
+        "conv_small": stack("conv"),
+        "cac_tiny_synth": tiny,
+    }
+
+
+def resolve_model_spec(model) -> dict:
+    if isinstance(model, str):
+        presets = model_presets()
+        require(model in presets,
+                f"unknown model preset {model!r}; known: {sorted(presets)}")
+        return copy.deepcopy(presets[model])
+    require(isinstance(model, dict), "model must be a preset name or a spec mapping")
+    return copy.deepcopy(model)
 
 
 _POOLED = object()
@@ -391,7 +386,6 @@ class Network:
         self.spec = spec
         self.input_shape = input_shape
         self._meta = layer_meta  # name -> dict(n=..., kind=...)
-        self.dtype = DEFAULT_DTYPE
 
     @staticmethod
     def build(spec: dict, *, rng, dtype=DEFAULT_DTYPE, frozen_gates=False) -> "Network":
@@ -423,9 +417,7 @@ class Network:
             shape[0] == num_classes,
             f"final feature width {shape[0]} != num_classes {num_classes}",
         )
-        net = Network(layers, SoftmaxCrossEntropy(), spec, (c, size, size), meta)
-        net.dtype = dtype
-        return net
+        return Network(layers, SoftmaxCrossEntropy(), spec, (c, size, size), meta)
 
     @staticmethod
     def _build_layer(desc, kind, shape, rng, dtype, frozen_gates, meta, name):
@@ -553,9 +545,3 @@ class Network:
                 f"{key}: checkpoint shape {src.shape} != model shape {arr.shape}",
             )
             arr[...] = src.astype(arr.dtype)
-
-    def astype(self, dtype):
-        for layer in self.layers:
-            layer.astype(dtype)
-        self.dtype = dtype
-        return self

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cac import CacConvParams, WindowPartition
-from .errors import InvalidArgument, NumericFailure
+from .errors import NumericFailure
 from .tensor import require
 
 

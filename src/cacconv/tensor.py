@@ -7,17 +7,16 @@ Conventions used across the package:
   verification mode;
 * kernels are (k, k, c_in, c_out) with odd k, stride fixed at 1, and
   zero same-padding of (k - 1) // 2;
-* a column matrix holds one vectorized window per output pixel.  Rows are
-  ordered channel-major: row index r = ci * k^2 + ky * k + kx.  Walking a
-  column top to bottom therefore reproduces the fixed summation order of
-  the direct convolution loop (input channel outer, kernel row, kernel
-  column), which the masked-dispatch fast path relies on for bit-exact
-  agreement with the reference loop.
+* a column matrix (``im2col_batch``) holds one vectorized window per
+  output pixel.  Rows are ordered channel-major: row index
+  r = ci * k^2 + ky * k + kx.  Walking a column top to bottom therefore
+  reproduces the fixed summation order of the direct convolution loop
+  (input channel outer, kernel row, kernel column), which the
+  masked-dispatch fast path relies on for bit-exact agreement with the
+  reference loop.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -52,30 +51,6 @@ def _check_kernel(w: np.ndarray) -> tuple[int, int, int]:
     return k, c_in, c_out
 
 
-@dataclass
-class ColMatrix:
-    """Windows of one sample laid out as columns.
-
-    ``data`` has shape (k*k*c_in, n*n): column j holds the vectorized
-    window centered on output pixel j (row-major over center positions),
-    rows ordered (channel, kernel row, kernel col).  Out-of-bounds taps
-    are zeros.
-    """
-
-    data: np.ndarray
-    k: int
-    n: int
-    pad: int
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-
 def im2col_batch(x: np.ndarray, k: int) -> np.ndarray:
     """Column matrix for a whole batch: shape (k*k*C, N*n*n).
 
@@ -96,43 +71,11 @@ def im2col_batch(x: np.ndarray, k: int) -> np.ndarray:
     return np.ascontiguousarray(cols)
 
 
-def im2col(x: np.ndarray, k: int, pad: int | None = None) -> ColMatrix:
-    """Unroll a single sample (C, H, W) into a ColMatrix.
-
-    Args:
-        x: single-sample array of shape (C, H, W) with H == W.
-        k: odd kernel size.
-        pad: border width; must equal (k - 1) // 2 (same-size output).
-            Defaults to that value.
-
-    Returns:
-        ColMatrix with one column per output pixel.
-    """
-    require(x.ndim == 3, f"expected single sample (C, H, W), got rank {x.ndim}")
-    require(k >= 1 and k % 2 == 1, f"kernel size must be odd and >= 1, got {k}")
-    c, h, w = x.shape
-    require(h == w, f"spatial dims must be square, got {h}x{w}")
-    same_pad = (k - 1) // 2
-    if pad is None:
-        pad = same_pad
-    require(pad == same_pad, f"pad must be (k - 1) // 2 = {same_pad}, got {pad}")
-    check_finite(x, "im2col input")
-    cols = im2col_batch(x[None], k)
-    return ColMatrix(data=cols, k=k, n=h, pad=pad)
-
-
-def vec2mat(v: np.ndarray, n: int) -> np.ndarray:
-    """Row-major reshape of a length-n^2 vector to an (n, n) matrix."""
-    v = np.asarray(v)
-    require(v.ndim == 1, f"expected a vector, got rank {v.ndim}")
-    require(v.size == n * n, f"vector length {v.size} != n^2 = {n * n}")
-    return v.reshape(n, n)
-
-
 def kernel_matrix(w: np.ndarray) -> np.ndarray:
     """Reshape kernel (k, k, c_in, c_out) to (k*k*c_in, c_out).
 
-    Row order matches ColMatrix rows: r = ci * k^2 + ky * k + kx.
+    Row order matches the rows of :func:`im2col_batch`:
+    r = ci * k^2 + ky * k + kx.
     """
     k, _, c_in, c_out = w.shape
     return np.ascontiguousarray(w.transpose(2, 0, 1, 3).reshape(k * k * c_in, c_out))
@@ -149,17 +92,26 @@ def conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None) -> np.n
     Returns:
         output activations (N, C_out, H, W).
     """
+    return _conv2d_with_cols(x, w, bias)[0]
+
+
+def _conv2d_with_cols(
+    x: np.ndarray, w: np.ndarray, bias: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`conv2d`, also returning the column matrix of ``x`` so a
+    backward pass can reuse it."""
     n_batch, c_in, h, w_dim = _check_nchw(x)
     require(h == w_dim, f"spatial dims must be square, got {h}x{w_dim}")
     k, kc_in, c_out = _check_kernel(w)
     require(kc_in == c_in, f"channel mismatch: input has {c_in}, kernel expects {kc_in}")
-    cols = im2col_batch(x, k)
-    out = cols.T @ kernel_matrix(w)  # (N*n*n, c_out)
-    out = out.reshape(n_batch, h, h, c_out).transpose(0, 3, 1, 2)
     if bias is not None:
         require(bias.shape == (c_out,), f"bias shape {bias.shape} != ({c_out},)")
-        out = out + bias[None, :, None, None]
-    return np.ascontiguousarray(out)
+    cols = im2col_batch(x, k)
+    y = cols.T @ kernel_matrix(w)  # (N*n*n, c_out)
+    if bias is not None:
+        y = y + bias[None, :]
+    out = np.ascontiguousarray(y.reshape(n_batch, h, h, c_out).transpose(0, 3, 1, 2))
+    return out, cols
 
 
 def col2im_batch(cols: np.ndarray, n_batch: int, c: int, n: int, k: int) -> np.ndarray:

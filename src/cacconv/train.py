@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cost import cost_penalty, madds_cac, madds_standard, model_cost
-from .errors import DataFormatError, InvalidArgument, NumericFailure
+from .errors import DataFormatError, NumericFailure
 from .ioutil import atomic_write_bytes, atomic_write_text
-from .layers import CacConv2d, Network
+from .layers import Network, resolve_model_spec
 from .tensor import require
 
 
@@ -343,8 +343,6 @@ def train_model(cfg, train_images, train_labels, test_images=None, test_labels=N
     NumericFailure on divergence, leaving the last finished epoch's
     checkpoint in place.
     """
-    from .cli import resolve_model_spec  # local import to avoid a cycle
-
     rng = np.random.default_rng(cfg.seed)
     spec = resolve_model_spec(cfg.model)
     net = Network.build(spec, rng=rng, frozen_gates=cfg.freeze_gates_sharp)

@@ -8,7 +8,6 @@ certifies the fast paths against independent references.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -173,7 +172,6 @@ def check_objective_gradient(seed=6):
         layer.gate_beta[0] = beta_arr[0]
         logits = net.forward(x, train=True)
         ell, _ = net.head.loss(logits, labels)
-        from .cost import cost_penalty as cp
         from .cost import model_cost
         specs = net.cost_specs()
         rhos = [layer.rho_soft() if s.cac else 1.0 for s in specs]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cacconv import (
     CacConvParams,
@@ -200,6 +202,77 @@ class TestHardForward:
         assert p.sharp_count == int(p.sharp_mask.sum())
         assert p.rho_hard == p.sharp_count / 36
         assert 0.0 < p.rho_soft < 1.0
+
+
+# Upper bound on the scalar multiply-adds one oracle call makes
+# (N n^2 c_in c_out k^2), which keeps every example near 0.1 s or less.
+NAIVE_MADDS_BUDGET = 120_000
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@st.composite
+def hard_cases(draw, constant_input=False):
+    """(x, params) covering k in {3, 5, 7}, both dtypes and pbar modes,
+    batches up to 4 and channel counts up to 32, within the budget."""
+    k = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(k, k + 3))
+    batch = draw(st.integers(1, 4))
+    per_channel = batch * n * n * k * k
+    c_in = draw(st.integers(1, max(1, min(32, NAIVE_MADDS_BUDGET // per_channel))))
+    c_out = draw(st.integers(1, max(1, min(32, NAIVE_MADDS_BUDGET // (per_channel * c_in)))))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weight = rng.standard_normal((k, k, c_in, c_out)) / np.sqrt(k * k * c_in)
+    bias = rng.standard_normal(c_out) * 0.1 if draw(st.booleans()) else None
+    gamma = draw(st.floats(0.25, 3.0)) * draw(st.sampled_from([1.0, -1.0]))
+    if constant_input:
+        x = np.full((batch, c_in, n, n), draw(st.floats(-10.0, 10.0)), dtype=dtype)
+        beta = 0.0
+    else:
+        x = rng.standard_normal((batch, c_in, n, n)).astype(dtype)
+        x *= draw(st.sampled_from([0.1, 1.0, 10.0]))
+        # Threshold at a quantile of this input's gradient magnitudes, so
+        # most examples route a mix of sharp and smooth windows.
+        grad = sobel_gradient(channel_mean(x))
+        beta = -gamma * float(np.quantile(grad, draw(st.floats(0.0, 1.0))))
+    params = CacConvParams(
+        weight=weight.astype(dtype), gamma=gamma, beta=beta,
+        bias=None if bias is None else bias.astype(dtype),
+        pbar_mode=draw(st.sampled_from(["center", "mean"])),
+    )
+    return x, params
+
+
+def assert_hard_matches_naive(x, params):
+    y_fast, parts_fast = cac_forward_hard(x, params)
+    y_ref, parts_ref = cac_forward_naive(x, params)
+    assert y_fast.dtype == y_ref.dtype == x.dtype
+    assert np.array_equal(y_fast, y_ref)
+    for fast, ref in zip(parts_fast, parts_ref, strict=True):
+        assert np.array_equal(fast.gradient, ref.gradient)
+        assert np.array_equal(fast.score, ref.score)
+        assert np.array_equal(fast.sharp_mask, ref.sharp_mask)
+    return parts_fast
+
+
+class TestHardForwardProperties:
+    """Bit-exact agreement of the hard forward with the scalar oracle on
+    shapes, dtypes and gates beyond those acceptance check 2 draws."""
+
+    @PROPERTY_SETTINGS
+    @given(hard_cases())
+    def test_bitwise_equal_to_naive(self, case):
+        assert_hard_matches_naive(*case)
+
+    @PROPERTY_SETTINGS
+    @given(hard_cases(constant_input=True))
+    def test_score_of_exactly_half_routes_smooth(self, case):
+        # A constant input has G = 0 everywhere, so beta = 0 puts every
+        # score exactly on the threshold, where ties count as smooth.
+        for part in assert_hard_matches_naive(*case):
+            assert (part.gradient == 0).all()
+            assert (part.score == 0.5).all()
+            assert not part.sharp_mask.any()
 
 
 class TestSoftForward:

@@ -1,17 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 
-import numpy as np
 import pytest
 
+import cacconv
 from cacconv import InvalidArgument
-from cacconv.cli import (
-    RunConfig,
-    load_config,
-    main,
-    model_presets,
-    resolve_model_spec,
-)
+from cacconv.cli import RunConfig, load_config, main
+from cacconv.layers import model_presets, resolve_model_spec
 
 
 class TestRunConfig:
@@ -51,6 +48,10 @@ class TestRunConfig:
             RunConfig.from_dict({"lambda": -0.1})
         with pytest.raises(InvalidArgument):
             RunConfig.from_dict({"epochs": 0})
+        for bad in ({"epochs": "3"}, {"epochs": True}, {"lambda": "0.3"}, {"augment": 1}):
+            with pytest.raises(InvalidArgument, match="must be"):
+                RunConfig.from_dict(bad)
+        assert RunConfig.from_dict({"lambda": 1}).lam == 1
 
     def test_malformed_json_file(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -177,6 +178,39 @@ class TestEndToEnd:
         ckpt.write_bytes(b"CAC1")
         assert main(["eval", "--model", str(ckpt), "--data", "synthetic"]) == 1
         assert "--model-spec" in capsys.readouterr().err
+
+
+def run_cli(*args):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    src = os.path.dirname(os.path.dirname(cacconv.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "cacconv.cli", *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
+class TestMalformedInputs:
+    """Bad user files end in an ``error:`` line and exit 1, never a traceback."""
+
+    def assert_clean_failure(self, proc):
+        assert proc.returncode == 1, proc.stderr
+        assert any(line.startswith("error:") for line in proc.stderr.splitlines())
+        assert "Traceback" not in proc.stderr
+
+    def eval_with_spec(self, tmp_path, text):
+        (tmp_path / "model.json").write_text(text)
+        return run_cli("eval", "--model", str(tmp_path / "model.ckpt"), "--data", "synthetic")
+
+    def test_truncated_model_json(self, tmp_path):
+        full = json.dumps({"model": resolve_model_spec("cac_tiny_synth")})
+        self.assert_clean_failure(self.eval_with_spec(tmp_path, full[:len(full) // 2]))
+
+    def test_model_json_without_model_key(self, tmp_path):
+        self.assert_clean_failure(self.eval_with_spec(tmp_path, "{}"))
+
+    def test_string_epochs_in_config(self, tmp_path):
+        cfg_path = write_tiny_config(tmp_path, epochs="3")
+        self.assert_clean_failure(run_cli("train", "--config", str(cfg_path), "--quiet"))
 
 
 class TestVerifyCommand:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cacconv import InvalidArgument, conv2d, im2col, im2col_batch, kernel_matrix, vec2mat
+from cacconv import InvalidArgument, conv2d, im2col_batch, kernel_matrix
 from cacconv.oracle import conv2d_naive
 from cacconv.tensor import channel_mean, col2im_batch
 
@@ -21,14 +21,9 @@ class TestIm2col:
                         for xo in range(5):
                             assert cols[r, y * 5 + xo] == xp[0, ci, y + ky, xo + kx]
 
-    def test_single_sample_wrapper_validates_pad(self):
-        x = np.zeros((2, 4, 4), dtype=np.float32)
-        cm = im2col(x, 3)
-        assert cm.pad == 1 and cm.k == 3 and cm.n == 4
+    def test_even_kernel_rejected(self):
         with pytest.raises(InvalidArgument):
-            im2col(x, 3, pad=2)
-        with pytest.raises(InvalidArgument):
-            im2col(x, 4)
+            im2col_batch(np.zeros((1, 2, 4, 4), dtype=np.float32), 4)
 
     def test_kernel_matrix_matches_row_convention(self):
         rng = np.random.default_rng(1)
@@ -39,15 +34,6 @@ class TestIm2col:
             for ky in range(3):
                 for kx in range(3):
                     assert np.array_equal(wm[ci * 9 + ky * 3 + kx], w[ky, kx, ci])
-
-
-class TestVec2Mat:
-    def test_row_major_round_trip(self):
-        v = np.arange(9.0)
-        m = vec2mat(v, 3)
-        assert m[1, 2] == 5.0
-        with pytest.raises(InvalidArgument):
-            vec2mat(v, 4)
 
 
 class TestConv2d:

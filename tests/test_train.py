@@ -345,7 +345,7 @@ class TestCheckpoint:
         before = evaluate(result.net, ds.images, ds.labels)
 
         rng = np.random.default_rng(777)
-        from cacconv.cli import resolve_model_spec
+        from cacconv.layers import resolve_model_spec
         net2 = Network.build(resolve_model_spec("cac_tiny_synth"), rng=rng)
         net2.load_state_dict(load_checkpoint(result.checkpoint_path))
         after = evaluate(net2, ds.images, ds.labels)
