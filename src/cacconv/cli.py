@@ -7,11 +7,10 @@ Exit codes: 0 success, 1 run or verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .errors import DataFormatError, InvalidArgument, NumericFailure
 from .ioutil import atomic_write_text
 from .layers import Network, resolve_model_spec  # noqa: F401  resolve_model_spec is re-exported
 from .tensor import require
-from .train import evaluate, load_checkpoint, train_model
+from .train import OptimizerConfig, evaluate, load_checkpoint, train_model
 
 
 _DATASET_DEFAULTS = {
@@ -35,30 +34,38 @@ _DATASET_DEFAULTS = {
     "synth_seed": 0,
 }
 
-_OPTIMIZER_DEFAULTS = {
-    "lr": 0.05,
-    "momentum": 0.9,
-    "weight_decay": 1e-4,
-    "nesterov": True,
-    "decay_epochs": None,
-    "decay_factor": 0.1,
-}
-
-
-# JSON type of each scalar config field; float also takes integers, and
-# no numeric field takes true/false.
+# JSON type of each config field; float also takes integers, no numeric
+# field takes true/false, and a nested field whose default is null also
+# takes null.
 _SCALAR_TYPES = {
     "seed": int, "lam": float, "epochs": int, "batch_size": int,
     "output_dir": str, "eval_every": int, "penalty_warmup_epochs": int,
     "freeze_gates_sharp": bool, "augment": bool,
 }
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+_BLOCK_TYPES = {
+    "dataset": {
+        "kind": str, "path": str, "subset_size": int, "test_subset_size": int,
+        "synth_kind": str, "synth_n": int, "synth_test_n": int, "synth_seed": int,
+    },
+    "optimizer": {
+        "lr": float, "momentum": float, "weight_decay": float, "nesterov": bool,
+        "decay_epochs": list, "decay_factor": float,
+    },
+}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               bool: "true or false", list: "a list of integers"}
 
 
 def _has_type(value, kind) -> bool:
     if isinstance(value, bool):
         return kind is bool
+    if kind is list:
+        return isinstance(value, list) and all(_has_type(v, int) for v in value)
     return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _optimizer_defaults() -> dict:
+    return asdict(OptimizerConfig())
 
 
 @dataclass
@@ -70,7 +77,7 @@ class RunConfig:
     dataset: dict = field(default_factory=lambda: dict(_DATASET_DEFAULTS))
     model: object = "cac_small"
     lam: float = 0.3
-    optimizer: dict = field(default_factory=lambda: dict(_OPTIMIZER_DEFAULTS))
+    optimizer: dict = field(default_factory=_optimizer_defaults)
     epochs: int = 20
     batch_size: int = 64
     output_dir: str = "runs/run"
@@ -105,31 +112,20 @@ class RunConfig:
         unknown = sorted(set(d) - known)
         require(not unknown, f"unknown config keys: {unknown}")
         for blockname, defaults in (("dataset", _DATASET_DEFAULTS),
-                                    ("optimizer", _OPTIMIZER_DEFAULTS)):
+                                    ("optimizer", _optimizer_defaults())):
             block = dict(defaults)
             given = d.get(blockname, {})
             require(isinstance(given, dict), f"{blockname} must be a JSON object")
             bad = sorted(set(given) - set(defaults))
             require(not bad, f"unknown {blockname} keys: {bad}")
+            for key, value in given.items():
+                kind, nullable = _BLOCK_TYPES[blockname][key], defaults[key] is None
+                require((nullable and value is None) or _has_type(value, kind),
+                        f"{blockname}.{key} must be {_TYPE_NAMES[kind]}"
+                        f"{' or null' if nullable else ''}, got {value!r}")
             block.update(given)
             d[blockname] = block
         return RunConfig(**d)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "dataset": dict(self.dataset),
-            "model": copy.deepcopy(self.model),
-            "lambda": self.lam,
-            "optimizer": dict(self.optimizer),
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "output_dir": self.output_dir,
-            "eval_every": self.eval_every,
-            "penalty_warmup_epochs": self.penalty_warmup_epochs,
-            "freeze_gates_sharp": self.freeze_gates_sharp,
-            "augment": self.augment,
-        }
 
 
 def load_config(path) -> RunConfig:
@@ -148,14 +144,13 @@ def load_datasets(cfg: RunConfig) -> tuple:
         require(ds["path"], "dataset.path is required for cifar10")
         train, test = load_cifar10(ds["path"])
         if ds["subset_size"]:
-            train = train.subset(int(ds["subset_size"]), cfg.seed)
+            train = train.subset(ds["subset_size"], cfg.seed)
         if ds["test_subset_size"]:
-            test = test.subset(int(ds["test_subset_size"]), cfg.seed + 1)
+            test = test.subset(ds["test_subset_size"], cfg.seed + 1)
         return train, test
     if ds["kind"] == "synthetic":
-        train = synth_dataset(ds["synth_kind"], int(ds["synth_n"]), int(ds["synth_seed"]))
-        test = synth_dataset(ds["synth_kind"], int(ds["synth_test_n"]),
-                             int(ds["synth_seed"]) + 1)
+        train = synth_dataset(ds["synth_kind"], ds["synth_n"], ds["synth_seed"])
+        test = synth_dataset(ds["synth_kind"], ds["synth_test_n"], ds["synth_seed"] + 1)
         return train, test
     raise InvalidArgument(f"unknown dataset kind {ds['kind']!r}")
 
@@ -312,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the built-in correctness suite")
     v.add_argument("--full", action="store_true",
-                   help="larger sample counts (slower)")
+                   help="run acceptance checks 1-4 at their own counts and seeds (slower)")
     v.set_defaults(func=cmd_verify)
     return p
 

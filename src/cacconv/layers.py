@@ -371,6 +371,15 @@ def resolve_model_spec(model) -> dict:
 _POOLED = object()
 
 
+def _spec_int(desc, key, default=None):
+    """Positive integer field ``key`` of a spec mapping, or ``default`` when absent."""
+    value = desc.get(key, default)
+    require(value is not None, f"missing '{key}'")
+    require(isinstance(value, int) and not isinstance(value, bool) and value >= 1,
+            f"'{key}' must be a positive integer, got {value!r}")
+    return value
+
+
 class Network:
     """Ordered layer stack with a softmax cross-entropy head.
 
@@ -392,14 +401,16 @@ class Network:
         require(isinstance(spec, dict), "model spec must be a mapping")
         for key in ("input", "num_classes", "layers"):
             require(key in spec, f"model spec missing '{key}'")
-        c = int(spec["input"]["channels"])
-        size = int(spec["input"]["size"])
-        require(c >= 1 and size >= 1, "input shape must be positive")
-        num_classes = int(spec["num_classes"])
+        inp = spec["input"]
+        require(isinstance(inp, dict), f"model spec 'input' must be an object, got {inp!r}")
+        c, size = _spec_int(inp, "channels"), _spec_int(inp, "size")
+        num_classes = _spec_int(spec, "num_classes")
+        require(isinstance(spec["layers"], list), "model spec 'layers' must be a list")
         layers = []
         meta = {}
         shape = (c, size)  # (channels, spatial side); spatial None once pooled
         for idx, desc in enumerate(spec["layers"]):
+            require(isinstance(desc, dict), f"layer {idx}: must be an object, got {desc!r}")
             kind = desc.get("type")
             name = f"{idx:02d}_{kind}"
             try:
@@ -424,8 +435,8 @@ class Network:
         ch, sp = shape
         if kind == "conv" or kind == "cac_conv":
             require(sp is not _POOLED, "convolution after pooling to a vector")
-            out = int(desc["out"])
-            k = int(desc.get("k", 3))
+            out = _spec_int(desc, "out")
+            k = _spec_int(desc, "k", 3)
             bias = bool(desc.get("bias", True))
             require(sp >= k, f"spatial side {sp} smaller than kernel {k}")
             if kind == "cac_conv":
@@ -446,7 +457,7 @@ class Network:
             return ReLU(), shape
         if kind == "avgpool":
             require(sp is not _POOLED, "avgpool expects feature maps")
-            k = int(desc.get("k", 2))
+            k = _spec_int(desc, "k", 2)
             require(sp % k == 0, f"spatial side {sp} not divisible by pool {k}")
             return AvgPool2d(k), (ch, sp // k)
         if kind == "global_avgpool":
@@ -454,7 +465,7 @@ class Network:
             return GlobalAvgPool(), (ch, _POOLED)
         if kind == "linear":
             require(sp is _POOLED, "linear head expects pooled features")
-            out = int(desc["out"])
+            out = _spec_int(desc, "out")
             layer = Linear(ch, out, bias=bool(desc.get("bias", True)), rng=rng, dtype=dtype)
             meta[name] = {"kind": "linear", "n": 1, "k": 1, "c_in": ch, "c_out": out}
             return layer, (out, _POOLED)

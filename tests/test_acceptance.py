@@ -11,37 +11,28 @@ terminal summary block, see conftest.py):
   6. content-aware dispersion: smooth inputs cost fewer MAdds
   7. determinism, checkpoint round trip, corrupt-input rejection
 
-Tolerances are pinned as module constants.  Checks 5 and 6 train small
-models; the whole file runs in a few minutes.
+Checks 1-4 run the checks in cacconv.verify at their own counts and seeds
+(`cacconv verify --full` runs the same); the tolerances are pinned as
+module constants.  Checks 5 and 6 train small models and are marked
+slow; the whole file runs in a few minutes.
 """
 
-import json
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cacconv import (
-    CacConvParams,
-    DataFormatError,
-    LayerCostSpec,
-    MaddsCounter,
-    cac_backward,
-    cac_forward_hard,
-    cac_forward_naive,
-    cac_forward_soft,
-    conv2d,
-    conv2d_naive,
-    finite_diff_grad,
-    madds_cac,
-    madds_standard,
-    rho_upper_bound,
-)
+from cacconv import DataFormatError
 from cacconv.cli import RunConfig, load_datasets, resolve_model_spec
 from cacconv.data import RECORD_BYTES, parse_cifar10_file, synth_dataset, write_cifar10_batch
 from cacconv.layers import Network
-from cacconv.train import evaluate, forward_backward, load_checkpoint, train_model
+from cacconv.train import evaluate, load_checkpoint, train_model
+from cacconv.verify import (
+    check_convolution,
+    check_cost_model,
+    check_gated_dispatch,
+    check_gradients,
+)
 
 CONV_REL_TOL_F32 = 1e-5
 CONV_REL_TOL_F64 = 1e-12
@@ -54,253 +45,56 @@ MADDS_REDUCTION_MIN = 0.10   # fraction, relative to the lam=0 run
 ERROR_DELTA_MAX = 0.02       # absolute top-1 error increase allowed at lam=0.3
 
 
-def rand_cac_params(rng, c_in, c_out, k=3, dtype=np.float32, scaled=False,
-                    gamma=None, beta=None, pbar_mode=None):
-    w = rng.standard_normal((k, k, c_in, c_out))
-    if scaled:
-        w = w / np.sqrt(k * k * c_in)
-    return CacConvParams(
-        weight=w.astype(dtype),
-        gamma=float(rng.uniform(0.5, 2.0)) if gamma is None else gamma,
-        beta=float(rng.uniform(-1.0, 1.0)) if beta is None else beta,
-        bias=rng.standard_normal(c_out).astype(dtype),
-        pbar_mode=pbar_mode or str(rng.choice(["center", "mean"])),
-    )
-
-
 def test_1_convolution_oracle_equivalence(acceptance):
     t0 = time.monotonic()
-    rng = np.random.default_rng(101)
-    worst = {np.float32: 0.0, np.float64: 0.0}
-    shapes = 100
-    for _ in range(shapes):
-        n = int(rng.integers(3, 17))
-        k = int(rng.choice([1, 3, 5]))
-        ci, co = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        x64 = rng.standard_normal((1, ci, n, n))
-        w64 = rng.standard_normal((k, k, ci, co))
-        b64 = rng.standard_normal(co)
-        for dt in (np.float32, np.float64):
-            x, w, b = x64.astype(dt), w64.astype(dt), b64.astype(dt)
-            ref = conv2d_naive(x, w, b)
-            got = conv2d(x, w, b)
-            rel = float(np.max(np.abs(got - ref)) / max(np.max(np.abs(ref)), 1e-30))
-            worst[dt] = max(worst[dt], rel)
+    m = check_convolution(shapes=100, seed=101)
     wall = time.monotonic() - t0
-    ok = (worst[np.float32] <= CONV_REL_TOL_F32
-          and worst[np.float64] <= CONV_REL_TOL_F64
+    ok = (m["worst_f32"] <= CONV_REL_TOL_F32
+          and m["worst_f64"] <= CONV_REL_TOL_F64
           and wall < 30.0)
-    detail = (f"{shapes} shapes, max rel err {worst[np.float32]:.2e} (f32, tol "
-              f"{CONV_REL_TOL_F32:g}) / {worst[np.float64]:.2e} (f64, tol "
-              f"{CONV_REL_TOL_F64:g}), {wall:.1f}s")
+    detail = (f"{m['detail']}, tol {CONV_REL_TOL_F32:g} (f32) / {CONV_REL_TOL_F64:g} "
+              f"(f64), {wall:.1f}s")
     acceptance.record(1, "convolution oracle equivalence", ok, detail)
     assert ok, detail
 
 
 def test_2_gated_dispatch_equivalence(acceptance):
     t0 = time.monotonic()
-    rng = np.random.default_rng(202)
-
-    instances = 50
-    bitwise_bad = 0
-    for _ in range(instances):
-        n = int(rng.integers(4, 10))
-        ci, co = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        params = rand_cac_params(rng, ci, co)
-        x = rng.standard_normal((2, ci, n, n)).astype(np.float32)
-        y_fast, parts_fast = cac_forward_hard(x, params)
-        y_ref, parts_ref = cac_forward_naive(x, params)
-        same = np.array_equal(y_fast, y_ref)
-        for pf, pr in zip(parts_fast, parts_ref):
-            same = same and np.array_equal(pf.score, pr.score)
-            same = same and np.array_equal(pf.sharp_mask, pr.sharp_mask)
-        bitwise_bad += 0 if same else 1
-
-    # gate pinned open: both dispatch paths reduce to plain convolution
-    sat_rel = 0.0
-    for _ in range(4):
-        params = rand_cac_params(rng, 3, 2, gamma=1.0, beta=10.0)
-        x = rng.standard_normal((2, 3, 7, 7)).astype(np.float32)
-        y_conv = conv2d(x, params.weight, params.bias)
-        denom = float(np.max(np.abs(y_conv)))
-        for y in (cac_forward_hard(x, params)[0], cac_forward_naive(x, params)[0]):
-            sat_rel = max(sat_rel, float(np.max(np.abs(y - y_conv))) / denom)
-
-    # constant input: uniform windows make both routes agree with the
-    # dense convolution wherever the window avoids the zero padding,
-    # whichever way the gate points
-    const_abs = 0.0
-    for value in (0.6, -0.25):
-        x = np.full((1, 3, 7, 7), value, dtype=np.float32)
-        for gamma in (0.3, 1.0, 3.0):
-            for beta in (-5.0, -0.2, 0.0, 0.7, 5.0):
-                params = rand_cac_params(rng, 3, 2, scaled=True,
-                                         gamma=gamma, beta=beta)
-                y_conv = conv2d(x, params.weight, params.bias)
-                for y in (cac_forward_hard(x, params)[0],
-                          cac_forward_naive(x, params)[0]):
-                    diff = np.abs(y[:, :, 1:-1, 1:-1] - y_conv[:, :, 1:-1, 1:-1])
-                    const_abs = max(const_abs, float(diff.max()))
-
+    m = check_gated_dispatch(
+        instances=50, saturated=4,
+        constant_grid=((0.6, -0.25), (0.3, 1.0, 3.0), (-5.0, -0.2, 0.0, 0.7, 5.0)),
+        seed=202,
+    )
     wall = time.monotonic() - t0
-    ok = (bitwise_bad == 0 and sat_rel <= SATURATED_REL_TOL
-          and const_abs <= CONSTANT_ABS_TOL and wall < 30.0)
-    detail = (f"{instances - bitwise_bad}/{instances} instances bit-identical, "
-              f"saturated rel {sat_rel:.2e} (tol {SATURATED_REL_TOL:g}), constant-input "
-              f"interior abs {const_abs:.2e} (tol {CONSTANT_ABS_TOL:g}), {wall:.1f}s")
+    ok = (m["bit_identical"] == 50 and m["saturated_rel"] <= SATURATED_REL_TOL
+          and m["constant_abs"] <= CONSTANT_ABS_TOL and wall < 30.0)
+    detail = (f"{m['detail']}, tol {SATURATED_REL_TOL:g} (saturated) / "
+              f"{CONSTANT_ABS_TOL:g} (constant), {wall:.1f}s")
     acceptance.record(2, "gated dispatch equivalence", ok, detail)
     assert ok, detail
 
 
-def _net_param_vector(net):
-    return np.concatenate([v.ravel() for _, _, _, v in net.named_params()])
-
-
-def _set_net_params(net, vec):
-    off = 0
-    for _, layer, pname, v in net.named_params():
-        v[...] = vec[off:off + v.size].reshape(v.shape)
-        off += v.size
-
-
 def test_3_gradient_correctness(acceptance):
     t0 = time.monotonic()
-    rng = np.random.default_rng(303)
-    worst_layer = 0.0
-
-    # 12 instances: the gated layer alone, every input and parameter
-    for _ in range(12):
-        n = int(rng.integers(5, 8))
-        ci, co = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        params = rand_cac_params(rng, ci, co, dtype=np.float64)
-        x = rng.standard_normal((1, ci, n, n))
-
-        sizes = [params.weight.size, 1, 1, co, x.size]
-
-        def unpack(theta):
-            w, g, b, bias, xs = np.split(theta, np.cumsum(sizes)[:-1])
-            p = CacConvParams(w.reshape(params.weight.shape), float(g[0]),
-                              float(b[0]), bias, params.pbar_mode)
-            return p, xs.reshape(x.shape)
-
-        def f(theta):
-            p, xi = unpack(theta)
-            y, _, _ = cac_forward_soft(xi, p)
-            return float((y**2).sum())
-
-        theta0 = np.concatenate([
-            params.weight.ravel(), [params.gamma], [params.beta],
-            params.bias, x.ravel(),
-        ])
-        y, _, cache = cac_forward_soft(x, params)
-        g = cac_backward(cache, 2.0 * y)
-        analytic = np.concatenate([
-            g.dweight.ravel(), [g.dgamma], [g.dbeta], g.dbias, g.dx.ravel(),
-        ])
-        numeric = finite_diff_grad(f, theta0.copy(), eps=1e-5)
-        denom = max(float(np.abs(numeric).max()), 1e-8)
-        worst_layer = max(worst_layer, float(np.abs(analytic - numeric).max()) / denom)
-
-    # 8 instances: the full penalized objective through a small network
-    spec = {
-        "input": {"channels": 2, "size": 8},
-        "num_classes": 3,
-        "layers": [
-            {"type": "cac_conv", "out": 3, "k": 3},
-            {"type": "batchnorm"},
-            {"type": "relu"},
-            {"type": "avgpool", "k": 2},
-            {"type": "conv", "out": 4, "k": 3},
-            {"type": "relu"},
-            {"type": "global_avgpool"},
-            {"type": "linear", "out": 3},
-            {"type": "softmax_ce"},
-        ],
-    }
-    worst_obj = 0.0
-    for trial in range(8):
-        net = Network.build(spec, rng=np.random.default_rng(1000 + trial),
-                            dtype=np.float64)
-        x = rng.standard_normal((2, 2, 8, 8))
-        labels = rng.integers(0, 3, size=2)
-        lam = float(rng.uniform(0.25, 1.0))
-
-        net.zero_grads()
-        forward_backward(net, x, labels, lam)
-        analytic = np.concatenate(
-            [layer.grads[p].ravel() for _, layer, p, _ in net.named_params()]
-        )
-
-        def f(theta):
-            _set_net_params(net, theta)
-            logits = net.forward(x, train=True)
-            ell, _ = net.head.loss(logits, labels)
-            specs = net.cost_specs()
-            rhos = [net.layers[0].rho_soft() if s.cac else 1.0 for s in specs]
-            from cacconv import model_cost
-            return float(ell * model_cost(specs, rhos).ratio ** lam)
-
-        theta0 = _net_param_vector(net)
-        numeric = finite_diff_grad(f, theta0.copy(), eps=1e-5)
-        _set_net_params(net, theta0)
-        denom = max(float(np.abs(numeric).max()), 1e-8)
-        worst_obj = max(worst_obj, float(np.abs(analytic - numeric).max()) / denom)
-
+    m = check_gradients(layer_instances=12, objective_instances=8, seed=303)
     wall = time.monotonic() - t0
-    ok = worst_layer <= GRAD_REL_TOL and worst_obj <= GRAD_REL_TOL and wall < 120.0
-    detail = (f"20 instances, max rel err {worst_layer:.2e} (layer) / "
-              f"{worst_obj:.2e} (objective), tol {GRAD_REL_TOL:g}, {wall:.1f}s")
+    ok = (m["worst_layer"] <= GRAD_REL_TOL and m["worst_objective"] <= GRAD_REL_TOL
+          and wall < 120.0)
+    detail = f"{m['detail']}, tol {GRAD_REL_TOL:g}, {wall:.1f}s"
     acceptance.record(3, "gradient correctness", ok, detail)
     assert ok, detail
 
 
 def test_4_cost_model_fidelity(acceptance):
     t0 = time.monotonic()
-    rng = np.random.default_rng(404)
-
-    dense_exact = True
-    for n, k, ci, co in ((5, 3, 2, 3), (8, 1, 3, 2), (6, 5, 1, 4)):
-        x = rng.standard_normal((1, ci, n, n)).astype(np.float32)
-        w = rng.standard_normal((k, k, ci, co)).astype(np.float32)
-        counter = MaddsCounter()
-        conv2d_naive(x, w, counter=counter)
-        formula = madds_standard(LayerCostSpec("d", n=n, k=k, c_in=ci, c_out=co))
-        dense_exact = dense_exact and counter.count == formula
-
-    cac_exact = True
-    for _ in range(6):
-        n = int(rng.integers(4, 9))
-        ci, co = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        params = rand_cac_params(rng, ci, co)
-        x = rng.standard_normal((1, ci, n, n)).astype(np.float32)
-        counter = MaddsCounter()
-        _, parts = cac_forward_naive(x, params, counter=counter)
-        spec = LayerCostSpec("c", n=n, k=3, c_in=ci, c_out=co, cac=True)
-        bd = madds_cac(spec, parts[0].rho_hard_exact)
-        cac_exact = cac_exact and (bd.kxk + bd.one_by_one == counter.count)
-
-    rb = rho_upper_bound(LayerCostSpec("r", n=32, k=3, c_in=16, c_out=16, cac=True))
+    m = check_cost_model(branch_instances=6, seed=404)
+    rb = m["rho_bar"]
     rb_ok = abs(rb - RHO_BAR_EXPECTED) <= RHO_BAR_TOL and rb == 1.0 - 13.0 / 2048.0
-
-    grid_ok = True
-    for k in (3, 5, 7):
-        for c in range(1, 65):
-            s = LayerCostSpec("g", n=16, k=k, c_in=c, c_out=c, cac=True)
-            bar = rho_upper_bound(s)
-            omega = madds_standard(s)
-            for rho in (0.0, 0.25, 0.5, bar - 1e-6, bar + 1e-6, 1.0):
-                if not 0.0 <= rho <= 1.0:
-                    continue
-                diff = madds_cac(s, rho).total - omega
-                want = rho - bar
-                if diff != 0 and want != 0 and np.sign(diff) != np.sign(want):
-                    grid_ok = False
-
     wall = time.monotonic() - t0
-    ok = dense_exact and cac_exact and rb_ok and grid_ok and wall < 60.0
-    detail = (f"dense counter exact: {dense_exact}, branch counter exact: {cac_exact}, "
-              f"break-even(3,16,16)={rb:.8f} (expect {RHO_BAR_EXPECTED}+-{RHO_BAR_TOL:g}), "
-              f"sign grid k in {{3,5,7}} x c in 1..64: {grid_ok}, {wall:.1f}s")
+    ok = (m["dense_exact"] and m["branch_exact"] and rb_ok and m["grid_ok"]
+          and m["penalty_ok"] and wall < 60.0)
+    detail = (f"{m['detail']}, break-even expect {RHO_BAR_EXPECTED}+-{RHO_BAR_TOL:g}, "
+              f"{wall:.1f}s")
     acceptance.record(4, "cost model fidelity", ok, detail)
     assert ok, detail
 
@@ -335,6 +129,7 @@ def lambda_sweep(cifar_dir, tmp_path_factory):
     return runs
 
 
+@pytest.mark.slow
 def test_5_penalty_tradeoff(acceptance, lambda_sweep):
     m = {lam: res.madds_mean for lam, (res, _) in lambda_sweep.items()}
     err = {lam: res.top1_error for lam, (res, _) in lambda_sweep.items()}
@@ -354,6 +149,7 @@ def test_5_penalty_tradeoff(acceptance, lambda_sweep):
     assert ok, detail
 
 
+@pytest.mark.slow
 def test_6_content_aware_dispersion(acceptance, tmp_path):
     t0 = time.monotonic()
     cfg = RunConfig.from_dict({

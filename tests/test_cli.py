@@ -6,25 +6,12 @@ import sys
 import pytest
 
 import cacconv
-from cacconv import InvalidArgument
+from cacconv import InvalidArgument, verify
 from cacconv.cli import RunConfig, load_config, main
 from cacconv.layers import model_presets, resolve_model_spec
 
 
 class TestRunConfig:
-    def test_round_trip_is_idempotent(self):
-        cfg = RunConfig.from_dict({
-            "seed": 4,
-            "lambda": 0.7,
-            "model": "conv_small",
-            "epochs": 2,
-            "optimizer": {"lr": 0.01},
-        })
-        d = cfg.to_dict()
-        assert d["lambda"] == 0.7
-        cfg2 = RunConfig.from_dict(d)
-        assert cfg2.to_dict() == d
-
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(InvalidArgument, match="learning_rate"):
             RunConfig.from_dict({"learning_rate": 0.1})
@@ -212,10 +199,45 @@ class TestMalformedInputs:
         cfg_path = write_tiny_config(tmp_path, epochs="3")
         self.assert_clean_failure(run_cli("train", "--config", str(cfg_path), "--quiet"))
 
+    @pytest.mark.parametrize("overrides", [
+        {"optimizer": {"lr": "0.1"}},
+        {"optimizer": {"decay_epochs": 3}},
+        {"dataset": {"synth_n": "x"}},
+        {"dataset": {"kind": "cifar10", "path": 5}},
+        {"model": {"input": 5, "num_classes": 2, "layers": []}},
+    ], ids=["string_lr", "int_decay_epochs", "string_synth_n", "int_path", "int_input"])
+    def test_wrong_type_in_config(self, tmp_path, overrides):
+        cfg_path = write_tiny_config(tmp_path, **overrides)
+        proc = run_cli("train", "--config", str(cfg_path), "--quiet")
+        self.assert_clean_failure(proc)
+        assert "must be" in proc.stderr
+
+    @pytest.mark.parametrize("layer", [
+        5,
+        {"type": "conv", "k": 3},
+        {"type": "conv", "out": "a", "k": 3},
+        {"type": "conv", "out": 0, "k": 3},
+        {"type": "avgpool", "k": 0},
+    ], ids=["int_layer", "conv_without_out", "string_out", "zero_out", "zero_pool"])
+    def test_malformed_layer_in_model_json(self, tmp_path, layer):
+        spec = {"input": {"channels": 3, "size": 8}, "num_classes": 2, "layers": [layer]}
+        proc = self.eval_with_spec(tmp_path, json.dumps({"model": spec}))
+        self.assert_clean_failure(proc)
+        assert "error: layer 0" in proc.stderr
+
 
 class TestVerifyCommand:
     def test_verify_fast_passes(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
-        assert "all" in out and "FAIL" not in out
-        assert out.count("ok") >= 5
+        assert "all 4 checks passed" in out and "FAIL" not in out
+        ok_names = [line.split()[1] for line in out.splitlines() if line.startswith("ok ")]
+        assert ok_names == ["convolution:", "gated_dispatch:", "gradients:", "cost_model:"]
+
+    def test_verify_failure_prints_manifest(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "CONV_REL_TOL_F64", 0.0)
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL convolution:")
+        manifest = json.loads(out[out.index("\n{"):])
+        assert [f["name"] for f in manifest["failures"]] == ["convolution"]
