@@ -22,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .tensor import (
+    _conv2d_backward,
     channel_mean,
     check_finite,
     col2im_batch,
@@ -446,13 +447,10 @@ def cac_backward(
     dx = np.repeat(dxbar / c_in, c_in, axis=1)
 
     # Sharp branch.
-    wmat = kernel_matrix(params.weight.astype(x.dtype, copy=False))
-    dwmat = cache.cols @ dy_kxk
-    dweight = np.ascontiguousarray(
-        dwmat.reshape(c_in, k, k, params.c_out).transpose(1, 2, 0, 3)
+    dweight, dx_kxk = _conv2d_backward(
+        cache.cols, params.weight.astype(x.dtype, copy=False), dy_kxk, n_batch, n
     )
-    dcols = wmat @ dy_kxk.T
-    dx += col2im_batch(dcols, n_batch, c_in, n, k)
+    dx += dx_kxk
 
     # Smooth branch through the aggregated kernel.
     dwphi = cache.pbar @ dy_1x1

@@ -40,7 +40,7 @@ _DATASET_DEFAULTS = {
 _SCALAR_TYPES = {
     "seed": int, "lam": float, "epochs": int, "batch_size": int,
     "output_dir": str, "eval_every": int, "penalty_warmup_epochs": int,
-    "freeze_gates_sharp": bool, "augment": bool,
+    "augment": bool,
 }
 _BLOCK_TYPES = {
     "dataset": {
@@ -83,7 +83,6 @@ class RunConfig:
     output_dir: str = "runs/run"
     eval_every: int = 0
     penalty_warmup_epochs: int = 0
-    freeze_gates_sharp: bool = False
     augment: bool = False
 
     def __post_init__(self):
@@ -107,7 +106,7 @@ class RunConfig:
         known = {
             "seed", "dataset", "model", "lam", "optimizer", "epochs",
             "batch_size", "output_dir", "eval_every", "penalty_warmup_epochs",
-            "freeze_gates_sharp", "augment",
+            "augment",
         }
         unknown = sorted(set(d) - known)
         require(not unknown, f"unknown config keys: {unknown}")
@@ -168,10 +167,7 @@ def load_model(ckpt_path, model_spec_path=None) -> Network:
             raise InvalidArgument(f"{spec_path}: malformed JSON model spec: {exc}") from None
     require(isinstance(meta, dict) and "model" in meta,
             f"{spec_path}: model spec must be a JSON object with a 'model' key")
-    net = Network.build(
-        meta["model"], rng=np.random.default_rng(0),
-        frozen_gates=bool(meta.get("freeze_gates_sharp", False)),
-    )
+    net = Network.build(meta["model"], rng=np.random.default_rng(0))
     net.load_state_dict(load_checkpoint(ckpt_path))
     return net
 

@@ -147,16 +147,14 @@ class CostReport:
             )
         return buf.getvalue()
 
-    def totals_dict(self) -> dict:
-        return {
+    def totals_json(self) -> str:
+        totals = {
             "c_model": self.c_model,
             "c_baseline": self.c_baseline,
             "ratio": self.ratio,
             "reduction_percent": self.reduction_percent,
         }
-
-    def totals_json(self) -> str:
-        return json.dumps(self.totals_dict(), indent=2) + "\n"
+        return json.dumps(totals, indent=2) + "\n"
 
 
 def model_cost(specs, rho_per_layer) -> CostReport:

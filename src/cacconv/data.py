@@ -78,7 +78,7 @@ def normalize_images(u8: np.ndarray) -> np.ndarray:
     return (x - mean) / std
 
 
-def load_cifar10(dir_path, normalize: bool = True) -> tuple:
+def load_cifar10(dir_path) -> tuple:
     """Load (train, test) Datasets from a directory of binary batches.
 
     Training data is the concatenation of data_batch_*.bin in sorted
@@ -96,8 +96,7 @@ def load_cifar10(dir_path, normalize: bool = True) -> tuple:
             im, lb = parse_cifar10_file(p)
             images.append(im)
             labels.append(lb)
-        u8 = np.concatenate(images)
-        x = normalize_images(u8) if normalize else u8.astype(np.float32) / np.float32(255.0)
+        x = normalize_images(np.concatenate(images))
         return Dataset(x, np.concatenate(labels), split=split)
 
     return build(train_files, "train"), build([test_file], "test")

@@ -1,10 +1,11 @@
 """Minimal layer zoo and the network container.
 
 Layers own their parameters as plain numpy arrays and fill ``self.grads``
-during backward.  A gated convolution in ``frozen_sharp`` mode runs the
-exact same code path as a plain convolution (``CacConv2d`` subclasses
-``Conv2d``), so a frozen network reproduces a standard-conv training
-trajectory bitwise.
+during backward.  ``CacConv2d`` subclasses ``Conv2d`` so that a gated
+network and its plain-convolution twin (``"type": "conv"``, e.g. the
+``conv_small`` preset) draw the same weights from the same seed.  Each
+costed layer (convolution or linear) carries the ``LayerCostSpec`` that
+``Network.build`` gives it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import copy
 import numpy as np
 
 from .cac import (
+    PBAR_MODES,
     CacConvParams,
     cac_backward,
     cac_forward_hard,
@@ -23,9 +25,8 @@ from .cost import LayerCostSpec
 from .errors import InvalidArgument
 from .tensor import (
     DEFAULT_DTYPE,
+    _conv2d_backward,
     _conv2d_with_cols,
-    col2im_batch,
-    kernel_matrix,
     require,
 )
 
@@ -39,6 +40,7 @@ class Layer:
     """Base class: parameters live in ``params()``, gradients in ``grads``."""
 
     name = ""
+    cost_spec = None  # LayerCostSpec of a costed layer, set by Network.build
 
     def __init__(self):
         self.grads = {}
@@ -66,8 +68,6 @@ class Conv2d(Layer):
     def __init__(self, c_in, c_out, k, *, bias=True, rng, dtype=DEFAULT_DTYPE):
         super().__init__()
         require(k % 2 == 1, f"kernel size must be odd, got {k}")
-        self.k = k
-        self.c_in = c_in
         self.c_out = c_out
         self.weight = kaiming_normal(rng, (k, k, c_in, c_out), c_in * k * k, dtype)
         self.bias = np.zeros(c_out, dtype=dtype) if bias else None
@@ -85,17 +85,13 @@ class Conv2d(Layer):
         return y
 
     def backward(self, dy):
-        k, c_in, c_out = self.k, self.c_in, self.c_out
         n_batch, _, n, _ = dy.shape
-        dyf = dy.transpose(0, 2, 3, 1).reshape(-1, c_out)
-        self.grads = {
-            "weight": np.ascontiguousarray(
-                (self._cols @ dyf).reshape(c_in, k, k, c_out).transpose(1, 2, 0, 3)
-            ),
-        }
+        dyf = dy.transpose(0, 2, 3, 1).reshape(-1, self.c_out)
+        dweight, dx = _conv2d_backward(self._cols, self.weight, dyf, n_batch, n)
+        self.grads = {"weight": dweight}
         if self.bias is not None:
             self.grads["bias"] = dyf.sum(axis=0)
-        return col2im_batch(kernel_matrix(self.weight) @ dyf.T, n_batch, c_in, n, k)
+        return dx
 
 
 class CacConv2d(Conv2d):
@@ -103,21 +99,19 @@ class CacConv2d(Conv2d):
     kernel on smooth ones.
 
     Training uses the differentiable soft blend; eval uses hard routing.
-    ``frozen_sharp`` bypasses the gate entirely and runs the Conv2d
-    forward and backward (the equivalence mode used to reproduce
-    plain-conv baselines).
+    Its plain-convolution twin is a ``Conv2d`` (``"type": "conv"``) built
+    from the same seed.
     """
 
     def __init__(
         self, c_in, c_out, k, *, bias=True, pbar_mode="center",
-        frozen_sharp=False, rng, dtype=DEFAULT_DTYPE,
+        rng, dtype=DEFAULT_DTYPE,
     ):
         require(k % 2 == 1 and k >= 3, f"gated conv needs odd k >= 3, got {k}")
         # Conv2d draws the weight, so seeds align across the gated net and
         # its plain baseline.
         super().__init__(c_in, c_out, k, bias=bias, rng=rng, dtype=dtype)
         self.pbar_mode = pbar_mode
-        self.frozen_sharp = frozen_sharp
         self.gate_gamma = np.ones(1, dtype=np.float64)
         self.gate_beta = np.zeros(1, dtype=np.float64)
         self._cache = None
@@ -125,9 +119,8 @@ class CacConv2d(Conv2d):
 
     def params(self):
         p = super().params()
-        if not self.frozen_sharp:
-            p["gate_gamma"] = self.gate_gamma
-            p["gate_beta"] = self.gate_beta
+        p["gate_gamma"] = self.gate_gamma
+        p["gate_beta"] = self.gate_beta
         return p
 
     def no_decay(self):
@@ -143,9 +136,6 @@ class CacConv2d(Conv2d):
         )
 
     def forward(self, x, train):
-        if self.frozen_sharp:
-            self.last_partitions = None
-            return super().forward(x, train)
         if train:
             y, parts, cache = cac_forward_soft(x, self.conv_params())
             self._cache = cache
@@ -156,8 +146,6 @@ class CacConv2d(Conv2d):
         return y
 
     def backward(self, dy, extra_score_grad=None):
-        if self.frozen_sharp:
-            return super().backward(dy)
         g = cac_backward(self._cache, dy, extra_score_grad)
         self.grads = {
             "weight": g.dweight,
@@ -261,7 +249,6 @@ class GlobalAvgPool(Layer):
 
     def backward(self, dy):
         self.grads = {}
-        n, c, h, w = self._shape
         return np.broadcast_to(dy[:, :, None, None] / self._hw, self._shape).astype(dy.dtype)
 
 
@@ -370,6 +357,18 @@ def resolve_model_spec(model) -> dict:
 
 _POOLED = object()
 
+# Keys each layer type takes besides "type".
+_LAYER_KEYS = {
+    "conv": {"out", "k", "bias"},
+    "cac_conv": {"out", "k", "bias", "pbar_mode"},
+    "batchnorm": set(),
+    "relu": set(),
+    "avgpool": {"k"},
+    "global_avgpool": set(),
+    "linear": {"out", "bias"},
+    "softmax_ce": set(),
+}
+
 
 def _spec_int(desc, key, default=None):
     """Positive integer field ``key`` of a spec mapping, or ``default`` when absent."""
@@ -389,15 +388,14 @@ class Network:
     and an optional trailing softmax_ce marker.
     """
 
-    def __init__(self, layers, head, spec, input_shape, layer_meta):
+    def __init__(self, layers, head, spec, input_shape):
         self.layers = layers
         self.head = head
         self.spec = spec
         self.input_shape = input_shape
-        self._meta = layer_meta  # name -> dict(n=..., kind=...)
 
     @staticmethod
-    def build(spec: dict, *, rng, dtype=DEFAULT_DTYPE, frozen_gates=False) -> "Network":
+    def build(spec: dict, *, rng, dtype=DEFAULT_DTYPE) -> "Network":
         require(isinstance(spec, dict), "model spec must be a mapping")
         for key in ("input", "num_classes", "layers"):
             require(key in spec, f"model spec missing '{key}'")
@@ -407,16 +405,13 @@ class Network:
         num_classes = _spec_int(spec, "num_classes")
         require(isinstance(spec["layers"], list), "model spec 'layers' must be a list")
         layers = []
-        meta = {}
         shape = (c, size)  # (channels, spatial side); spatial None once pooled
         for idx, desc in enumerate(spec["layers"]):
             require(isinstance(desc, dict), f"layer {idx}: must be an object, got {desc!r}")
             kind = desc.get("type")
             name = f"{idx:02d}_{kind}"
             try:
-                layer, shape = Network._build_layer(
-                    desc, kind, shape, rng, dtype, frozen_gates, meta, name
-                )
+                layer, shape = Network._build_layer(desc, kind, shape, rng, dtype, name)
             except InvalidArgument as exc:
                 raise InvalidArgument(f"layer {idx} ({kind}): {exc}") from None
             if layer is None:
@@ -428,27 +423,29 @@ class Network:
             shape[0] == num_classes,
             f"final feature width {shape[0]} != num_classes {num_classes}",
         )
-        return Network(layers, SoftmaxCrossEntropy(), spec, (c, size, size), meta)
+        return Network(layers, SoftmaxCrossEntropy(), spec, (c, size, size))
 
     @staticmethod
-    def _build_layer(desc, kind, shape, rng, dtype, frozen_gates, meta, name):
+    def _build_layer(desc, kind, shape, rng, dtype, name):
+        require(isinstance(kind, str) and kind in _LAYER_KEYS, f"unknown layer type {kind!r}")
+        unknown = sorted(set(desc) - _LAYER_KEYS[kind] - {"type"})
+        require(not unknown, f"unknown keys: {unknown}")
+        bias, pbar_mode = desc.get("bias", True), desc.get("pbar_mode", "center")
+        require(isinstance(bias, bool), f"'bias' must be true or false, got {bias!r}")
+        require(pbar_mode in PBAR_MODES,
+                f"'pbar_mode' must be one of {PBAR_MODES}, got {pbar_mode!r}")
         ch, sp = shape
         if kind == "conv" or kind == "cac_conv":
             require(sp is not _POOLED, "convolution after pooling to a vector")
             out = _spec_int(desc, "out")
             k = _spec_int(desc, "k", 3)
-            bias = bool(desc.get("bias", True))
             require(sp >= k, f"spatial side {sp} smaller than kernel {k}")
             if kind == "cac_conv":
-                layer = CacConv2d(
-                    ch, out, k, bias=bias,
-                    pbar_mode=desc.get("pbar_mode", "center"),
-                    frozen_sharp=frozen_gates, rng=rng, dtype=dtype,
-                )
-                meta[name] = {"kind": "cac_conv", "n": sp, "k": k, "c_in": ch, "c_out": out}
+                layer = CacConv2d(ch, out, k, bias=bias, pbar_mode=pbar_mode,
+                                  rng=rng, dtype=dtype)
             else:
                 layer = Conv2d(ch, out, k, bias=bias, rng=rng, dtype=dtype)
-                meta[name] = {"kind": "conv", "n": sp, "k": k, "c_in": ch, "c_out": out}
+            layer.cost_spec = LayerCostSpec(name, sp, k, ch, out, cac=kind == "cac_conv")
             return layer, (out, sp)
         if kind == "batchnorm":
             require(sp is not _POOLED, "batchnorm expects feature maps")
@@ -466,12 +463,10 @@ class Network:
         if kind == "linear":
             require(sp is _POOLED, "linear head expects pooled features")
             out = _spec_int(desc, "out")
-            layer = Linear(ch, out, bias=bool(desc.get("bias", True)), rng=rng, dtype=dtype)
-            meta[name] = {"kind": "linear", "n": 1, "k": 1, "c_in": ch, "c_out": out}
+            layer = Linear(ch, out, bias=bias, rng=rng, dtype=dtype)
+            layer.cost_spec = LayerCostSpec(name, 1, 1, ch, out)
             return layer, (out, _POOLED)
-        if kind == "softmax_ce":
-            return None, shape
-        raise InvalidArgument(f"unknown layer type {kind!r}")
+        return None, shape  # softmax_ce
 
     def forward(self, x, train: bool):
         require(
@@ -493,7 +488,7 @@ class Network:
     def backward(self, dlogits, score_extras=None):
         d = dlogits
         for layer in reversed(self.layers):
-            if isinstance(layer, CacConv2d) and not layer.frozen_sharp:
+            if isinstance(layer, CacConv2d):
                 extra = None if score_extras is None else score_extras.get(layer.name)
                 d = layer.backward(d, extra)
             else:
@@ -501,26 +496,11 @@ class Network:
         return d
 
     def cac_layers(self):
-        return [
-            (l.name, l) for l in self.layers
-            if isinstance(l, CacConv2d) and not l.frozen_sharp
-        ]
+        return [(l.name, l) for l in self.layers if isinstance(l, CacConv2d)]
 
     def cost_specs(self):
         """Costed layers (convolutions and the linear head) in order."""
-        specs = []
-        for layer in self.layers:
-            m = self._meta.get(layer.name)
-            if m is None:
-                continue
-            cac = m["kind"] == "cac_conv" and not getattr(layer, "frozen_sharp", False)
-            specs.append(
-                LayerCostSpec(
-                    layer_id=layer.name, n=m["n"], k=m["k"],
-                    c_in=m["c_in"], c_out=m["c_out"], cac=cac,
-                )
-            )
-        return specs
+        return [l.cost_spec for l in self.layers if l.cost_spec is not None]
 
     def named_params(self):
         """(full_name, layer, param_name, array) for every trainable tensor."""

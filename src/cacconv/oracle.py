@@ -28,9 +28,6 @@ class MaddsCounter:
         require(n >= 0, "counter increments must be non-negative")
         self.count += n
 
-    def reset(self) -> None:
-        self.count = 0
-
 
 def conv2d_naive(
     x: np.ndarray,

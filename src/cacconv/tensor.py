@@ -114,6 +114,19 @@ def _conv2d_with_cols(
     return out, cols
 
 
+def _conv2d_backward(
+    cols: np.ndarray, w: np.ndarray, dyf: np.ndarray, n_batch: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reverse pass of :func:`_conv2d_with_cols` without the bias.
+
+    ``cols`` is the forward's column matrix and ``dyf`` the upstream
+    gradient flattened to (N*n*n, C_out) in output pixel order.  Returns
+    the kernel gradient, shaped like ``w``, and the input gradient."""
+    k, _, c_in, c_out = w.shape
+    dw = np.ascontiguousarray((cols @ dyf).reshape(c_in, k, k, c_out).transpose(1, 2, 0, 3))
+    return dw, col2im_batch(kernel_matrix(w) @ dyf.T, n_batch, c_in, n, k)
+
+
 def col2im_batch(cols: np.ndarray, n_batch: int, c: int, n: int, k: int) -> np.ndarray:
     """Adjoint of im2col_batch: scatter-add columns back onto (N, C, n, n).
 

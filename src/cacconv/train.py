@@ -124,18 +124,10 @@ def forward_backward(
         raise NumericFailure(f"non-finite task loss: {where}")
 
     specs = net.cost_specs()
-    cac = dict(net.cac_layers())
-    rho_soft, rho_hard = {}, {}
-    rhos = []
-    for spec in specs:
-        if spec.cac:
-            layer = cac[spec.layer_id]
-            rho_soft[spec.layer_id] = layer.rho_soft()
-            rho_hard[spec.layer_id] = layer.rho_hard()
-            rhos.append(rho_soft[spec.layer_id])
-        else:
-            rhos.append(1.0)
-    report = model_cost(specs, rhos)
+    cac = net.cac_layers()
+    rho_soft = {name: layer.rho_soft() for name, layer in cac}
+    rho_hard = {name: layer.rho_hard() for name, layer in cac}
+    report = model_cost(specs, [rho_soft.get(s.layer_id, 1.0) for s in specs])
     ratio_soft = report.ratio
     hard_report = model_cost(
         specs, [rho_hard.get(s.layer_id, 1.0) for s in specs]
@@ -149,13 +141,12 @@ def forward_backward(
     if lam_eff > 0:
         c_b = float(report.c_baseline)
         extras = {}
-        for spec in specs:
-            if not spec.cac:
-                continue
+        for name, layer in cac:
+            spec = layer.cost_spec
             omega = madds_standard(spec)
             dratio_drho = omega * (1.0 - 1.0 / (spec.k * spec.k)) / c_b
             n_elems = images.shape[0] * spec.n * spec.n
-            extras[spec.layer_id] = dl_dratio * dratio_drho / n_elems
+            extras[name] = dl_dratio * dratio_drho / n_elems
     net.backward(dlogits, extras)
 
     top1 = float((logits.argmax(axis=1) != labels).mean())
@@ -196,14 +187,12 @@ def evaluate(net: Network, images, labels, batch_size: int = 256) -> EvalResult:
     """
     n = len(labels)
     require(n >= 1, "cannot evaluate on an empty dataset")
-    specs = net.cost_specs()
-    static = sum(madds_standard(s) for s in specs if not s.cac)
-    cac_specs = [s for s in specs if s.cac]
+    static = sum(madds_standard(s) for s in net.cost_specs() if not s.cac)
+    cac = net.cac_layers()
 
     errors = 0
     per_sample = np.zeros(n, dtype=np.float64)
-    per_rho = {s.layer_id: np.zeros(n, dtype=np.float64) for s in cac_specs}
-    cac = dict(net.cac_layers())
+    per_rho = {name: np.zeros(n, dtype=np.float64) for name, _ in cac}
     pos = 0
     for start in range(0, n, batch_size):
         xb = images[start:start + batch_size]
@@ -212,12 +201,10 @@ def evaluate(net: Network, images, labels, batch_size: int = 256) -> EvalResult:
         errors += int((logits.argmax(axis=1) != yb).sum())
         b = len(yb)
         costs = np.full(b, float(static), dtype=np.float64)
-        for spec in cac_specs:
-            parts = cac[spec.layer_id].last_partitions
-            for i, part in enumerate(parts):
-                frac = part.rho_hard_exact
-                costs[i] += madds_cac(spec, frac).total
-                per_rho[spec.layer_id][pos + i] = part.rho_hard
+        for name, layer in cac:
+            for i, part in enumerate(layer.last_partitions):
+                costs[i] += madds_cac(layer.cost_spec, part.rho_hard_exact).total
+                per_rho[name][pos + i] = part.rho_hard
         per_sample[pos:pos + b] = costs
         pos += b
 
@@ -345,7 +332,7 @@ def train_model(cfg, train_images, train_labels, test_images=None, test_labels=N
     """
     rng = np.random.default_rng(cfg.seed)
     spec = resolve_model_spec(cfg.model)
-    net = Network.build(spec, rng=rng, frozen_gates=cfg.freeze_gates_sharp)
+    net = Network.build(spec, rng=rng)
     opt = OptimizerState(config=OptimizerConfig(**cfg.optimizer))
 
     out_dir = cfg.output_dir
@@ -354,8 +341,7 @@ def train_model(cfg, train_images, train_labels, test_images=None, test_labels=N
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     atomic_write_text(
         os.path.join(out_dir, "model.json"),
-        json.dumps({"model": spec, "freeze_gates_sharp": cfg.freeze_gates_sharp},
-                   indent=2) + "\n",
+        json.dumps({"model": spec}, indent=2) + "\n",
     )
 
     batch_rng = np.random.default_rng(cfg.seed + 1)

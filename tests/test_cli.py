@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import cacconv
 from cacconv import InvalidArgument, verify
 from cacconv.cli import RunConfig, load_config, main
-from cacconv.layers import model_presets, resolve_model_spec
+from cacconv.layers import Network, model_presets, resolve_model_spec
+from cacconv.train import save_checkpoint
 
 
 class TestRunConfig:
@@ -195,6 +197,21 @@ class TestMalformedInputs:
     def test_model_json_without_model_key(self, tmp_path):
         self.assert_clean_failure(self.eval_with_spec(tmp_path, "{}"))
 
+    def test_removed_freeze_gates_sharp_key_in_config(self, tmp_path):
+        cfg_path = write_tiny_config(tmp_path, freeze_gates_sharp=True)
+        proc = run_cli("train", "--config", str(cfg_path), "--quiet")
+        self.assert_clean_failure(proc)
+        assert "freeze_gates_sharp" in proc.stderr
+
+    def test_legacy_model_json_with_freeze_key_evaluates(self, tmp_path):
+        spec = resolve_model_spec("cac_tiny_synth")
+        net = Network.build(spec, rng=np.random.default_rng(0))
+        save_checkpoint(tmp_path / "model.ckpt", net.state_dict())
+        proc = self.eval_with_spec(
+            tmp_path, json.dumps({"model": spec, "freeze_gates_sharp": False}))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["n"] == 512
+
     def test_string_epochs_in_config(self, tmp_path):
         cfg_path = write_tiny_config(tmp_path, epochs="3")
         self.assert_clean_failure(run_cli("train", "--config", str(cfg_path), "--quiet"))
@@ -218,7 +235,11 @@ class TestMalformedInputs:
         {"type": "conv", "out": "a", "k": 3},
         {"type": "conv", "out": 0, "k": 3},
         {"type": "avgpool", "k": 0},
-    ], ids=["int_layer", "conv_without_out", "string_out", "zero_out", "zero_pool"])
+        {"type": "conv", "out": 4, "bias": "no"},
+        {"type": "conv", "out": 4, "kernel": 5},
+        {"type": "cac_conv", "out": 4, "pbar_mode": "median"},
+    ], ids=["int_layer", "conv_without_out", "string_out", "zero_out", "zero_pool",
+            "string_bias", "unknown_key", "unknown_pbar_mode"])
     def test_malformed_layer_in_model_json(self, tmp_path, layer):
         spec = {"input": {"channels": 3, "size": 8}, "num_classes": 2, "layers": [layer]}
         proc = self.eval_with_spec(tmp_path, json.dumps({"model": spec}))

@@ -14,6 +14,7 @@ from cacconv.layers import (
     Network,
     ReLU,
     SoftmaxCrossEntropy,
+    resolve_model_spec,
 )
 
 TINY_SPEC = {
@@ -183,11 +184,19 @@ class TestNetwork:
         assert specs["04_conv"].n == 4 and not specs["04_conv"].cac
         assert specs["07_linear"].k == 1 and specs["07_linear"].n == 1
 
-    def test_frozen_gates_costed_as_standard(self):
-        rng = np.random.default_rng(11)
-        net = Network.build(TINY_SPEC, rng=rng, frozen_gates=True)
-        assert all(not s.cac for s in net.cost_specs())
-        assert net.cac_layers() == []
+    def test_gated_and_plain_twins_draw_the_same_weights(self):
+        cac = Network.build(resolve_model_spec("cac_small"), rng=np.random.default_rng(11))
+        conv = Network.build(resolve_model_spec("conv_small"), rng=np.random.default_rng(11))
+        assert len(cac.layers) == len(conv.layers)
+        convs = 0
+        for a, b in zip(cac.layers, conv.layers):
+            if isinstance(b, Conv2d):
+                assert isinstance(a, CacConv2d)
+                assert np.array_equal(a.weight, b.weight)
+                assert np.array_equal(a.bias, b.bias)
+                convs += 1
+        assert convs == 3
+        assert np.array_equal(cac.layers[-1].weight, conv.layers[-1].weight)
 
     def test_bad_specs_rejected_with_layer_index(self):
         rng = np.random.default_rng(12)

@@ -235,35 +235,6 @@ class TestTrainLoop:
             c2 = f.read()
         assert c1 == c2
 
-    def test_frozen_lambda0_matches_conv_baseline_bitwise(self, tmp_path):
-        conv_tiny = {
-            "input": {"channels": 3, "size": 32},
-            "num_classes": 2,
-            "layers": [
-                {"type": "conv", "out": 8, "k": 3},
-                {"type": "batchnorm"},
-                {"type": "relu"},
-                {"type": "global_avgpool"},
-                {"type": "linear", "out": 2},
-                {"type": "softmax_ce"},
-            ],
-        }
-        train = synth_dataset("smooth_vs_textured", 96, 5)
-        test = synth_dataset("smooth_vs_textured", 32, 6)
-        cfg_frozen = tiny_cfg(tmp_path / "frozen", **{
-            "lambda": 0.0, "freeze_gates_sharp": True, "epochs": 2,
-        })
-        cfg_conv = tiny_cfg(tmp_path / "conv", **{
-            "lambda": 0.0, "model": conv_tiny, "epochs": 2,
-        })
-        r_frozen = train_model(cfg_frozen, train.images, train.labels,
-                               test.images, test.labels)
-        r_conv = train_model(cfg_conv, train.images, train.labels,
-                             test.images, test.labels)
-        assert r_frozen.step_losses == r_conv.step_losses
-        assert [m["ell"] for m in r_frozen.metrics] == [m["ell"] for m in r_conv.metrics]
-        assert all(m["cost_ratio_hard"] == 1.0 for m in r_frozen.metrics)
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_keeping_last_checkpoint(self, tmp_path):
         with pytest.raises(NumericFailure):
