@@ -51,24 +51,52 @@ def _check_kernel(w: np.ndarray) -> tuple[int, int, int]:
     return k, c_in, c_out
 
 
-def im2col_batch(x: np.ndarray, k: int) -> np.ndarray:
+def im2col_batch(x: np.ndarray, k: int, windows: np.ndarray | None = None) -> np.ndarray:
     """Column matrix for a whole batch: shape (k*k*C, N*n*n).
 
     Columns are ordered (sample, row, col) so that per-sample blocks are
     contiguous and column order within a sample matches output pixel order.
+
+    ``windows``, if given, is a 1-d array of flat window indices
+    (b * n^2 + row * n + col); only those columns are built, in that
+    order, giving shape (k*k*C, len(windows)).  It equals
+    ``im2col_batch(x, k)[:, windows]``; an empty index gives zero columns.
     """
     n_batch, c, h, w = _check_nchw(x)
     require(h == w, f"spatial dims must be square, got {h}x{w}")
     require(k % 2 == 1 and k >= 1, f"kernel size must be odd and >= 1, got {k}")
     pad = (k - 1) // 2
-    if pad > 0:
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    else:
-        xp = x
-    # (N, C, n, n, k, k) windows; center of window (y, x) is input pixel (y, x)
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))
-    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n_batch * h * w)
-    return np.ascontiguousarray(cols)
+    if windows is None:
+        if pad > 0:
+            xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        else:
+            xp = x
+        # (N, C, n, n, k, k) windows; center of window (y, x) is input pixel (y, x)
+        win = sliding_window_view(xp, (k, k), axis=(2, 3))
+        cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n_batch * h * w)
+        return np.ascontiguousarray(cols)
+
+    windows = np.asarray(windows)
+    require(windows.ndim == 1, f"windows must be a 1-d index array, got rank {windows.ndim}")
+    require(windows.size == 0 or np.issubdtype(windows.dtype, np.integer),
+            f"windows must hold integers, got {windows.dtype}")
+    require(windows.size == 0 or (windows.min() >= 0 and windows.max() < n_batch * h * w),
+            f"window indices must lie in [0, {n_batch * h * w})")
+    # Gather from one flat zero-padded plane per channel: a window's tap
+    # (ky, kx) sits ky * side + kx past its top-left pixel, so one index
+    # vector per tap serves every channel.
+    side = h + 2 * pad
+    planes = np.zeros((c, n_batch, side, side), dtype=x.dtype)
+    planes[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
+    planes = planes.reshape(c, -1)
+    sample, pixel = np.divmod(windows.astype(np.int64), h * w)
+    top_left = sample * (side * side) + (pixel // w) * side + pixel % w
+    cols = np.empty((c, k * k, windows.size), dtype=x.dtype)
+    for ky in range(k):
+        row = top_left + ky * side
+        for kx in range(k):
+            cols[:, ky * k + kx] = planes.take(row + kx, axis=1)
+    return cols.reshape(c * k * k, windows.size)
 
 
 def kernel_matrix(w: np.ndarray) -> np.ndarray:

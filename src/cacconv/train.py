@@ -13,6 +13,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -187,6 +188,7 @@ def evaluate(net: Network, images, labels, batch_size: int = 256) -> EvalResult:
     """
     n = len(labels)
     require(n >= 1, "cannot evaluate on an empty dataset")
+    require(batch_size >= 1, f"batch size must be >= 1, got {batch_size}")
     static = sum(madds_standard(s) for s in net.cost_specs() if not s.cac)
     cac = net.cac_layers()
 
@@ -202,9 +204,15 @@ def evaluate(net: Network, images, labels, batch_size: int = 256) -> EvalResult:
         b = len(yb)
         costs = np.full(b, float(static), dtype=np.float64)
         for name, layer in cac:
+            # Price each distinct sharp count once: the same exact
+            # fraction gives the same float.
+            price = {}
             for i, part in enumerate(layer.last_partitions):
-                costs[i] += madds_cac(layer.cost_spec, part.rho_hard_exact).total
-                per_rho[name][pos + i] = part.rho_hard
+                sharp, windows = part.sharp_count, part.total_windows
+                if sharp not in price:
+                    price[sharp] = madds_cac(layer.cost_spec, Fraction(sharp, windows)).total
+                costs[i] += price[sharp]
+                per_rho[name][pos + i] = sharp / windows
         per_sample[pos:pos + b] = costs
         pos += b
 

@@ -17,6 +17,7 @@ from cacconv import (
     score_map,
     sobel_gradient,
 )
+from cacconv import cac as cac_module
 from cacconv.cac import sigmoid
 from cacconv.oracle import _sobel_maps_naive
 from cacconv.tensor import channel_mean
@@ -148,6 +149,20 @@ class TestHardForward:
                 assert np.array_equal(a.sharp_mask, b.sharp_mask)
                 assert np.array_equal(a.score, b.score)
 
+    @pytest.mark.parametrize("tile", [1, 5, 64])
+    def test_bit_for_bit_across_column_tiles(self, monkeypatch, tile):
+        # The tap loops run in column tiles; a tile smaller than either
+        # branch's column count puts tile edges inside both branches.
+        monkeypatch.setattr(cac_module, "TAP_TILE", tile)
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((2, 3, 9, 9)).astype(np.float32)
+        grad = sobel_gradient(channel_mean(x))
+        params = small_params(rng, 3, 4, gamma=1.0, beta=-float(np.median(grad)))
+        y_fast, parts = cac_forward_hard(x, params)
+        y_ref, _ = cac_forward_naive(x, params)
+        assert 0 < sum(p.sharp_count for p in parts) < x.shape[0] * 81
+        assert np.array_equal(y_fast, y_ref)
+
     def test_saturated_sharp_equals_dense_conv(self):
         rng = np.random.default_rng(7)
         params = small_params(rng, 3, 4, gamma=1.0, beta=10.0)
@@ -211,9 +226,10 @@ PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
 
 @st.composite
-def hard_cases(draw, constant_input=False):
+def hard_cases(draw, constant_input=False, all_sharp=False):
     """(x, params) covering k in {3, 5, 7}, both dtypes and pbar modes,
-    batches up to 4 and channel counts up to 32, within the budget."""
+    batches up to 4 and channel counts up to 32, within the budget.
+    ``all_sharp`` pins the gate so that every window routes sharp."""
     k = draw(st.sampled_from([3, 5, 7]))
     n = draw(st.integers(k, k + 3))
     batch = draw(st.integers(1, 4))
@@ -231,6 +247,11 @@ def hard_cases(draw, constant_input=False):
     else:
         x = rng.standard_normal((batch, c_in, n, n)).astype(dtype)
         x *= draw(st.sampled_from([0.1, 1.0, 10.0]))
+    if all_sharp:
+        # G >= 0, so a positive gain with beta = 10 keeps every score
+        # above 0.5.
+        gamma, beta = abs(gamma), 10.0
+    elif not constant_input:
         # Threshold at a quantile of this input's gradient magnitudes, so
         # most examples route a mix of sharp and smooth windows.
         grad = sobel_gradient(channel_mean(x))
@@ -273,6 +294,13 @@ class TestHardForwardProperties:
             assert (part.gradient == 0).all()
             assert (part.score == 0.5).all()
             assert not part.sharp_mask.any()
+
+    @PROPERTY_SETTINGS
+    @given(hard_cases(all_sharp=True))
+    def test_every_window_sharp(self, case):
+        # rho = 1 exactly: every column is gathered, none runs 1 x 1.
+        for part in assert_hard_matches_naive(*case):
+            assert part.sharp_mask.all()
 
 
 class TestSoftForward:

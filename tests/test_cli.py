@@ -212,6 +212,17 @@ class TestMalformedInputs:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["n"] == 512
 
+    @pytest.mark.parametrize("batch_size", ["0", "-3"])
+    def test_non_positive_eval_batch_size(self, tmp_path, batch_size):
+        spec = resolve_model_spec("cac_tiny_synth")
+        net = Network.build(spec, rng=np.random.default_rng(0))
+        save_checkpoint(tmp_path / "model.ckpt", net.state_dict())
+        (tmp_path / "model.json").write_text(json.dumps({"model": spec}))
+        proc = run_cli("eval", "--model", str(tmp_path / "model.ckpt"), "--data", "synthetic",
+                       "--synth-n", "8", "--batch-size", batch_size)
+        self.assert_clean_failure(proc)
+        assert "batch size must be >= 1" in proc.stderr
+
     def test_string_epochs_in_config(self, tmp_path):
         cfg_path = write_tiny_config(tmp_path, epochs="3")
         self.assert_clean_failure(run_cli("train", "--config", str(cfg_path), "--quiet"))

@@ -21,6 +21,28 @@ class TestIm2col:
                         for xo in range(5):
                             assert cols[r, y * 5 + xo] == xp[0, ci, y + ky, xo + kx]
 
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_window_subset_equals_columns_of_full_matrix(self, k):
+        rng = np.random.default_rng(20 + k)
+        x = rng.standard_normal((3, 2, 6, 6)).astype(np.float32)
+        full = im2col_batch(x, k)
+        total = full.shape[1]
+        for windows in (
+            np.array([], dtype=np.int64),
+            np.sort(rng.choice(total, 40, replace=False)),
+            rng.permutation(total)[:25],
+            np.arange(total),
+        ):
+            cols = im2col_batch(x, k, windows)
+            assert cols.shape == (full.shape[0], len(windows))
+            assert np.array_equal(cols, full[:, windows])
+
+    def test_window_indices_validated(self):
+        x = np.zeros((2, 1, 4, 4), dtype=np.float32)
+        for windows in (np.array([32]), np.array([-1]), np.array([0.0]), np.zeros((1, 1), int)):
+            with pytest.raises(InvalidArgument):
+                im2col_batch(x, 3, windows)
+
     def test_even_kernel_rejected(self):
         with pytest.raises(InvalidArgument):
             im2col_batch(np.zeros((1, 2, 4, 4), dtype=np.float32), 4)
