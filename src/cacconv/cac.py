@@ -5,9 +5,9 @@ aggregated 1 x 1 kernel.
 Two forward modes are provided:
 
 * ``cac_forward_hard`` routes every output pixel through exactly one
-  branch (inference behavior) and computes only that branch.  Its
-  accumulation order is pinned so that it agrees bit-for-bit with the
-  scalar reference loop in :mod:`cacconv.oracle`.
+  branch (inference behavior) and runs the k x k kernel only where it
+  is taken.  Its accumulation order is pinned so that it agrees
+  bit-for-bit with the scalar reference loop in :mod:`cacconv.oracle`.
 * ``cac_forward_soft`` blends the two branches with the gate score
   (training behavior).  It is differentiable in the kernel, the gate
   parameters, and the input; ``cac_backward`` is its exact reverse pass.
@@ -284,20 +284,19 @@ def _gate_maps(x: np.ndarray, params: CacConvParams):
     return grad, gx, gy, score
 
 
-def _pbar_map(x: np.ndarray, params: CacConvParams, windows=None, cols=None) -> np.ndarray:
+def _pbar_map(x: np.ndarray, params: CacConvParams, cols=None) -> np.ndarray:
     """Per-window representative pixel, one row per input channel, for
-    the flat window indices ``windows`` (every window if None).
+    every window.
 
     ``center`` takes each window's center (the input pixel itself), read
     from ``x``; ``mean`` averages all k^2 taps of the zero-padded window,
-    summing taps in fixed order, from ``cols`` (those windows' column
-    matrix, gathered here if not given)."""
+    summing taps in fixed order, from ``cols`` (the column matrix of
+    ``x``, built here if not given)."""
     c_in = x.shape[1]
     if params.pbar_mode == "center":
-        pixels = x.transpose(1, 0, 2, 3).reshape(c_in, -1)
-        return pixels if windows is None else pixels.take(windows, axis=1)
+        return x.transpose(1, 0, 2, 3).reshape(c_in, -1)
     if cols is None:
-        cols = im2col_batch(x, params.k, windows)
+        cols = im2col_batch(x, params.k)
     k2 = params.k * params.k
     blocks = cols.reshape(c_in, k2, -1)
     acc = np.zeros((c_in, blocks.shape[2]), dtype=cols.dtype)
@@ -331,7 +330,7 @@ def _gated_forward(x: np.ndarray, params: CacConvParams, mix):
     mask, _ = partition(score)
     y, saved = mix(x, w, score, mask, params)
     if params.bias is not None:
-        y = y + params.bias.astype(x.dtype, copy=False)[:, None]
+        y += params.bias.astype(x.dtype, copy=False)[:, None]
     out = np.ascontiguousarray(y.reshape(params.c_out, n_batch, n, n).transpose(1, 0, 2, 3))
     cache = None if saved is None else SoftCache(
         x=x, gx=gx, gy=gy, grad=grad, score=score, params=params, **saved)
@@ -357,22 +356,24 @@ def _tap_loop(wmat: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _route(x, w, score, mask, params):
-    """Hard routing: each output pixel runs only the branch its mask
-    selects.  The sharp windows' gathered columns go through the k x k
-    taps, the smooth windows' representative pixels through the 1 x 1
-    taps, and the two results are scattered into one output."""
-    selected = mask.reshape(-1)
-    sharp = np.flatnonzero(selected)
-    smooth = np.flatnonzero(~selected)
-    y = np.empty((params.c_out, selected.size), dtype=x.dtype)
-    branches = (
-        (sharp, _tap_loop(kernel_matrix(w), im2col_batch(x, params.k, sharp))),
-        (smooth, _tap_loop(aggregate_kernel(w), _pbar_map(x, params, smooth))),
-    )
-    # Row by row: a 1-d scatter is 3-4x faster than y[:, windows] = ...
-    for windows, values in branches:
-        for row, branch_row in zip(y, values):
-            row[windows] = branch_row
+    """Hard routing: each output pixel takes only the branch its mask
+    selects.
+
+    The 1 x 1 taps run over every window's representative pixel, which
+    needs no window index.  The sharp windows' gathered columns then run
+    the k x k taps, and those results overwrite their columns: one
+    scatter, of sharp columns only.  The 1 x 1 work thrown away on a
+    sharp window is at most 1/k^2 of its k x k work.  When every window
+    is sharp, the full column matrix runs the k x k taps and nothing is
+    scattered."""
+    sharp = np.flatnonzero(mask.reshape(-1))
+    if sharp.size == mask.size:
+        return _tap_loop(kernel_matrix(w), im2col_batch(x, params.k)), None
+    y = _tap_loop(aggregate_kernel(w), _pbar_map(x, params))
+    y_sharp = _tap_loop(kernel_matrix(w), im2col_batch(x, params.k, sharp))
+    # Row by row: a 1-d scatter is 3-4x faster than y[:, sharp] = ...
+    for row, sharp_row in zip(y, y_sharp):
+        row[sharp] = sharp_row
     return y, None
 
 
@@ -401,12 +402,13 @@ def cac_forward_hard(
         (y, partitions): output (N, C_out, H, W) and one WindowPartition
         per sample.
 
-    Each window runs only its own branch: the sharp windows' columns
-    are gathered (``im2col_batch`` with window indices), so the work
-    follows the sharp fraction.  The two branch accumulations walk taps
-    in the fixed order (input channel, kernel row, kernel column), one
-    vectorized step per tap, so every output scalar is produced by the
-    same floating-point sequence as the scalar reference loop.
+    Only the sharp windows' columns are gathered (``im2col_batch`` with
+    window indices) and run the k x k kernel, so its work follows the
+    sharp fraction; the cheap 1 x 1 kernel runs on every window.  The two
+    branch accumulations walk taps in the fixed order (input channel,
+    kernel row, kernel column), one vectorized step per tap, so every
+    output scalar is produced by the same floating-point sequence as the
+    scalar reference loop.
     """
     out, partitions, _ = _gated_forward(x, params, _route)
     return out, partitions

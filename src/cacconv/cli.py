@@ -142,16 +142,16 @@ def load_datasets(cfg: RunConfig) -> tuple:
     if ds["kind"] == "cifar10":
         require(ds["path"], "dataset.path is required for cifar10")
         train, test = load_cifar10(ds["path"])
-        if ds["subset_size"]:
-            train = train.subset(ds["subset_size"], cfg.seed)
-        if ds["test_subset_size"]:
-            test = test.subset(ds["test_subset_size"], cfg.seed + 1)
-        return train, test
-    if ds["kind"] == "synthetic":
+    elif ds["kind"] == "synthetic":
         train = synth_dataset(ds["synth_kind"], ds["synth_n"], ds["synth_seed"])
         test = synth_dataset(ds["synth_kind"], ds["synth_test_n"], ds["synth_seed"] + 1)
-        return train, test
-    raise InvalidArgument(f"unknown dataset kind {ds['kind']!r}")
+    else:
+        raise InvalidArgument(f"unknown dataset kind {ds['kind']!r}")
+    if ds["subset_size"]:
+        train = train.subset(ds["subset_size"], cfg.seed)
+    if ds["test_subset_size"]:
+        test = test.subset(ds["test_subset_size"], cfg.seed + 1)
+    return train, test
 
 
 def load_model(ckpt_path, model_spec_path=None) -> Network:
@@ -174,9 +174,10 @@ def load_model(ckpt_path, model_spec_path=None) -> Network:
 
 def _eval_dataset(args) -> Dataset:
     if args.data == "synthetic":
-        return synth_dataset(args.synth_kind, args.synth_n, args.synth_seed)
-    train, test = load_cifar10(args.data)
-    ds = train if args.split == "train" else test
+        ds = synth_dataset(args.synth_kind, args.synth_n, args.synth_seed)
+    else:
+        train, test = load_cifar10(args.data)
+        ds = train if args.split == "train" else test
     if args.subset:
         ds = ds.subset(args.subset, args.subset_seed)
     return ds

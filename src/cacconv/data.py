@@ -42,7 +42,8 @@ class Dataset:
 
     def subset(self, size: int, seed: int) -> "Dataset":
         """First ``size`` samples after a seeded shuffle."""
-        require(0 < size <= len(self), f"subset size {size} exceeds {len(self)} samples")
+        require(0 < size <= len(self),
+                f"subset size must lie in [1, {len(self)}], got {size}")
         order = np.random.default_rng(seed).permutation(len(self))[:size]
         return Dataset(self.images[order], self.labels[order],
                        split=self.split, num_classes=self.num_classes)

@@ -194,10 +194,17 @@ class BatchNorm2d(Layer):
         else:
             mean, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+        # x stays untouched (the network keeps every layer's output); the
+        # in-place steps act on the fresh x - mean buffer, whose dtype is
+        # the widest of the operands, in the order of the plain expression.
+        xhat = x - mean[None, :, None, None]
+        xhat *= inv_std[None, :, None, None]
         if train:
             self._cache = (xhat, inv_std)
-        return self.gamma[None, :, None, None] * xhat + self.beta[None, :, None, None]
+            return self.gamma[None, :, None, None] * xhat + self.beta[None, :, None, None]
+        xhat *= self.gamma[None, :, None, None]
+        xhat += self.beta[None, :, None, None]
+        return xhat
 
     def backward(self, dy):
         xhat, inv_std = self._cache
@@ -233,7 +240,22 @@ class AvgPool2d(Layer):
         n, c, h, w = x.shape
         require(h % k == 0 and w % k == 0,
                 f"spatial dims {h}x{w} not divisible by pool size {k}")
-        return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
+        if w == k or k == 1:
+            # One pooled column: numpy's mean sums each contiguous k x k
+            # block in an order of its own, so keep it (k = 1 copies x).
+            return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
+        # Sums of strided slices in the order numpy's mean takes at pooled
+        # width > 1: each kernel row's k columns in order, then the row
+        # sums in order, from +0.0 (an all -0.0 block pools to +0.0).
+        out = np.zeros((n, c, h // k, w // k), dtype=x.dtype)
+        row = np.empty_like(out)
+        for ky in range(k):
+            np.add(x[:, :, ky::k, 0::k], x[:, :, ky::k, 1::k], out=row)
+            for kx in range(2, k):
+                row += x[:, :, ky::k, kx::k]
+            out += row
+        out /= k * k
+        return out
 
     def backward(self, dy):
         k = self.k

@@ -82,6 +82,8 @@ def im2col_batch(x: np.ndarray, k: int, windows: np.ndarray | None = None) -> np
             f"windows must hold integers, got {windows.dtype}")
     require(windows.size == 0 or (windows.min() >= 0 and windows.max() < n_batch * h * w),
             f"window indices must lie in [0, {n_batch * h * w})")
+    if windows.size == 0:
+        return np.empty((c * k * k, 0), dtype=x.dtype)
     # Gather from one flat zero-padded plane per channel: a window's tap
     # (ky, kx) sits ky * side + kx past its top-left pixel, so one index
     # vector per tap serves every channel.

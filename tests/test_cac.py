@@ -163,6 +163,23 @@ class TestHardForward:
         assert 0 < sum(p.sharp_count for p in parts) < x.shape[0] * 81
         assert np.array_equal(y_fast, y_ref)
 
+    @pytest.mark.parametrize("pbar_mode", ["center", "mean"])
+    @pytest.mark.parametrize("sharp_windows", ["one", "all_but_one"])
+    def test_bit_for_bit_with_one_window_apart(self, pbar_mode, sharp_windows):
+        # One window alone on a branch: a single gathered and scattered
+        # column, or a single column left to the 1 x 1 taps.
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
+        grad = np.sort(sobel_gradient(channel_mean(x)).reshape(-1).astype(np.float64))
+        edge = grad[-2:] if sharp_windows == "one" else grad[:2]
+        params = small_params(rng, 3, 4, gamma=1.0, beta=-float(edge.mean()),
+                              pbar_mode=pbar_mode)
+        y_fast, parts = cac_forward_hard(x, params)
+        y_ref, _ = cac_forward_naive(x, params)
+        sharp = sum(p.sharp_count for p in parts)
+        assert sharp == (1 if sharp_windows == "one" else grad.size - 1)
+        assert np.array_equal(y_fast, y_ref)
+
     def test_saturated_sharp_equals_dense_conv(self):
         rng = np.random.default_rng(7)
         params = small_params(rng, 3, 4, gamma=1.0, beta=10.0)

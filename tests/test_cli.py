@@ -212,16 +212,41 @@ class TestMalformedInputs:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["n"] == 512
 
-    @pytest.mark.parametrize("batch_size", ["0", "-3"])
-    def test_non_positive_eval_batch_size(self, tmp_path, batch_size):
+    def eval_untrained(self, tmp_path, *flags):
+        """``eval`` of a freshly built ``cac_tiny_synth`` on 8 synthetic images."""
         spec = resolve_model_spec("cac_tiny_synth")
         net = Network.build(spec, rng=np.random.default_rng(0))
         save_checkpoint(tmp_path / "model.ckpt", net.state_dict())
         (tmp_path / "model.json").write_text(json.dumps({"model": spec}))
-        proc = run_cli("eval", "--model", str(tmp_path / "model.ckpt"), "--data", "synthetic",
-                       "--synth-n", "8", "--batch-size", batch_size)
+        return run_cli("eval", "--model", str(tmp_path / "model.ckpt"), "--data", "synthetic",
+                       "--synth-n", "8", *flags)
+
+    @pytest.mark.parametrize("batch_size", ["0", "-3"])
+    def test_non_positive_eval_batch_size(self, tmp_path, batch_size):
+        proc = self.eval_untrained(tmp_path, "--batch-size", batch_size)
         self.assert_clean_failure(proc)
         assert "batch size must be >= 1" in proc.stderr
+
+    @pytest.mark.parametrize("subset", ["-2", "100000"])
+    def test_out_of_range_eval_subset(self, tmp_path, subset):
+        proc = self.eval_untrained(tmp_path, "--subset", subset)
+        self.assert_clean_failure(proc)
+        assert "subset size must lie in [1, 8]" in proc.stderr
+
+    def test_eval_subset_of_synthetic_data(self, tmp_path):
+        proc = self.eval_untrained(tmp_path, "--subset", "3")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["n"] == 3
+
+    @pytest.mark.parametrize("dataset", [
+        {"kind": "synthetic", "synth_n": 64, "synth_test_n": 32, "subset_size": -2},
+        {"kind": "synthetic", "synth_n": 64, "synth_test_n": 32, "test_subset_size": 100000},
+    ], ids=["negative_subset", "oversized_test_subset"])
+    def test_out_of_range_subset_in_config(self, tmp_path, dataset):
+        cfg_path = write_tiny_config(tmp_path, dataset=dataset)
+        proc = run_cli("train", "--config", str(cfg_path), "--quiet")
+        self.assert_clean_failure(proc)
+        assert "subset size must lie in" in proc.stderr
 
     def test_string_epochs_in_config(self, tmp_path):
         cfg_path = write_tiny_config(tmp_path, epochs="3")

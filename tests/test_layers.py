@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cacconv import InvalidArgument, finite_diff_grad
 from cacconv.layers import (
@@ -138,6 +140,71 @@ class TestStandardLayers:
         layer = CacConv2d(2, 3, 3, rng=rng, dtype=np.float64)
         layer.gate_beta[0] = -0.4
         grad_check_layer(layer, rng.standard_normal((1, 2, 6, 6)))
+
+
+@st.composite
+def pool_inputs(draw):
+    """(x, k): k in {2, 3, 4}, 1-8 pooled rows and columns, both dtypes,
+    with a drawn share of entries set to -0.0 or to zeros of either sign."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)),
+             k * draw(st.integers(1, 8)), k * draw(st.integers(1, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(shape) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    zero = rng.random(shape) < draw(st.floats(0.0, 1.0))
+    signs = draw(st.sampled_from([-1.0, None]))
+    x[zero] = np.copysign(0.0, rng.standard_normal(int(zero.sum())) if signs is None else signs)
+    return x.astype(draw(st.sampled_from([np.float32, np.float64]))), k
+
+
+def numpy_pool(x, k):
+    n, c, h, w = x.shape
+    return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
+
+
+class TestForwardBits:
+    """The pooling and batch-norm forwards reproduce the plain numpy
+    expressions bit for bit, signed zeros included."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pool_inputs())
+    def test_avgpool_equals_numpy_mean(self, case):
+        x, k = case
+        y, ref = AvgPool2d(k).forward(x, train=False), numpy_pool(x, k)
+        assert y.shape == ref.shape and y.dtype == ref.dtype
+        assert y.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("shape", [(64, 16, 32, 32), (64, 32, 16, 16)])
+    def test_avgpool_equals_numpy_mean_at_network_shapes(self, shape):
+        # Arrays larger than numpy's reduction buffer, ReLU'd with -0.0s.
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal(shape).astype(np.float32)
+        x[x < 0] = -0.0
+        assert AvgPool2d(2).forward(x, train=False).tobytes() == numpy_pool(x, 2).tobytes()
+
+    @pytest.mark.parametrize("train", [True, False])
+    @pytest.mark.parametrize("x_dtype,bn_dtype", [
+        (np.float32, np.float32), (np.float64, np.float64),
+        (np.float32, np.float64), (np.float64, np.float32),
+    ])
+    def test_batchnorm_equals_plain_expression(self, train, x_dtype, bn_dtype):
+        rng = np.random.default_rng(7)
+        bn = BatchNorm2d(3, dtype=bn_dtype)
+        for buf, lo, hi in ((bn.gamma, 0.5, 1.5), (bn.beta, -0.5, 0.5),
+                            (bn.running_mean, -1.0, 1.0), (bn.running_var, 0.5, 2.0)):
+            buf[:] = rng.uniform(lo, hi, 3)
+        x = (rng.standard_normal((4, 3, 5, 5)) * 3 + 1).astype(x_dtype)
+        x_before = x.copy()
+        if train:
+            mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        else:
+            mean, var = bn.running_mean.copy(), bn.running_var.copy()
+        inv_std = 1.0 / np.sqrt(var + bn.eps)
+        xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+        ref = bn.gamma[None, :, None, None] * xhat + bn.beta[None, :, None, None]
+        y = bn.forward(x, train)
+        assert y.dtype == ref.dtype and y.tobytes() == ref.tobytes()
+        assert x.tobytes() == x_before.tobytes()
 
 
 class TestSoftmaxCrossEntropy:
