@@ -10,7 +10,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+import types
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -23,49 +25,67 @@ from .tensor import require
 from .train import OptimizerConfig, evaluate, load_checkpoint, train_model
 
 
-_DATASET_DEFAULTS = {
-    "kind": "synthetic",
-    "path": None,
-    "subset_size": None,
-    "test_subset_size": None,
-    "synth_kind": "smooth_vs_textured",
-    "synth_n": 512,
-    "synth_test_n": 256,
-    "synth_seed": 0,
-}
-
-# JSON type of each config field; float also takes integers, no numeric
-# field takes true/false, and a nested field whose default is null also
-# takes null.
-_SCALAR_TYPES = {
-    "seed": int, "lam": float, "epochs": int, "batch_size": int,
-    "output_dir": str, "eval_every": int, "penalty_warmup_epochs": int,
-    "augment": bool,
-}
-_BLOCK_TYPES = {
-    "dataset": {
-        "kind": str, "path": str, "subset_size": int, "test_subset_size": int,
-        "synth_kind": str, "synth_n": int, "synth_test_n": int, "synth_seed": int,
-    },
-    "optimizer": {
-        "lr": float, "momentum": float, "weight_decay": float, "nesterov": bool,
-        "decay_epochs": list, "decay_factor": float,
-    },
-}
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
-               bool: "true or false", list: "a list of integers"}
+               bool: "true or false", list[int]: "a list of integers"}
 
 
-def _has_type(value, kind) -> bool:
+def _has_type(value, hint) -> bool:
+    """JSON type check: float also takes integers, no number takes
+    true/false, and ``X | None`` also takes null."""
+    if typing.get_origin(hint) is list:
+        item, = typing.get_args(hint)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if isinstance(hint, types.UnionType):
+        return any(_has_type(value, h) for h in typing.get_args(hint))
     if isinstance(value, bool):
-        return kind is bool
-    if kind is list:
-        return isinstance(value, list) and all(_has_type(v, int) for v in value)
-    return isinstance(value, (int, float) if kind is float else kind)
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
-def _optimizer_defaults() -> dict:
-    return asdict(OptimizerConfig())
+def _type_name(hint) -> str:
+    if isinstance(hint, types.UnionType):
+        inner, = (h for h in typing.get_args(hint) if h is not type(None))
+        return _TYPE_NAMES[inner] + " or null"
+    return _TYPE_NAMES[hint]
+
+
+def _from_json(cls, given, block=None):
+    """Build the dataclass ``cls`` from a JSON object.  Its fields are the
+    only list of keys, defaults and JSON types; a field annotated
+    ``object`` (the model spec) is left to its own reader."""
+    what = block or "config"
+    require(isinstance(given, dict), f"{what} must be a JSON object")
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(given) - {f.name for f in fields(cls)})
+    require(not unknown, f"unknown {what} keys: {unknown}")
+    values = {}
+    for f in fields(cls):
+        if f.name not in given:
+            continue
+        value, hint = given[f.name], hints[f.name]
+        if is_dataclass(hint):
+            value = _from_json(hint, value, f.name)
+        elif hint is not object:
+            key = "lambda" if f.name == "lam" else f.name
+            label = f"{block}.{key}" if block else key
+            require(_has_type(value, hint),
+                    f"{label} must be {_type_name(hint)}, got {value!r}")
+        values[f.name] = value
+    return cls(**values)
+
+
+@dataclass
+class DatasetConfig:
+    """The ``dataset`` block of a RunConfig, read by ``load_datasets``."""
+
+    kind: str = "synthetic"
+    path: str | None = None
+    subset_size: int | None = None
+    test_subset_size: int | None = None
+    synth_kind: str = "smooth_vs_textured"
+    synth_n: int = 512
+    synth_test_n: int = 256
+    synth_seed: int = 0
 
 
 @dataclass
@@ -74,10 +94,10 @@ class RunConfig:
     ``lam``)."""
 
     seed: int = 0
-    dataset: dict = field(default_factory=lambda: dict(_DATASET_DEFAULTS))
+    dataset: DatasetConfig = field(default_factory=DatasetConfig)
     model: object = "cac_small"
     lam: float = 0.3
-    optimizer: dict = field(default_factory=_optimizer_defaults)
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     epochs: int = 20
     batch_size: int = 64
     output_dir: str = "runs/run"
@@ -86,11 +106,7 @@ class RunConfig:
     augment: bool = False
 
     def __post_init__(self):
-        for name, kind in _SCALAR_TYPES.items():
-            value = getattr(self, name)
-            label = "lambda" if name == "lam" else name
-            require(_has_type(value, kind),
-                    f"{label} must be {_TYPE_NAMES[kind]}, got {value!r}")
+        require(self.seed >= 0, f"seed must be non-negative, got {self.seed}")
         require(self.lam >= 0, f"lambda must be non-negative, got {self.lam}")
         require(self.epochs >= 1, "epochs must be >= 1")
         require(self.batch_size >= 1, "batch_size must be >= 1")
@@ -99,58 +115,39 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        require(isinstance(d, dict), "config must be a JSON object")
-        d = dict(d)
-        if "lambda" in d:
+        if isinstance(d, dict) and "lambda" in d:
+            d = dict(d)
             d["lam"] = d.pop("lambda")
-        known = {
-            "seed", "dataset", "model", "lam", "optimizer", "epochs",
-            "batch_size", "output_dir", "eval_every", "penalty_warmup_epochs",
-            "augment",
-        }
-        unknown = sorted(set(d) - known)
-        require(not unknown, f"unknown config keys: {unknown}")
-        for blockname, defaults in (("dataset", _DATASET_DEFAULTS),
-                                    ("optimizer", _optimizer_defaults())):
-            block = dict(defaults)
-            given = d.get(blockname, {})
-            require(isinstance(given, dict), f"{blockname} must be a JSON object")
-            bad = sorted(set(given) - set(defaults))
-            require(not bad, f"unknown {blockname} keys: {bad}")
-            for key, value in given.items():
-                kind, nullable = _BLOCK_TYPES[blockname][key], defaults[key] is None
-                require((nullable and value is None) or _has_type(value, kind),
-                        f"{blockname}.{key} must be {_TYPE_NAMES[kind]}"
-                        f"{' or null' if nullable else ''}, got {value!r}")
-            block.update(given)
-            d[blockname] = block
-        return RunConfig(**d)
+        return _from_json(RunConfig, d)
+
+
+def _load_json(path, what):
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidArgument(f"{path}: malformed JSON {what}: {exc}") from None
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise InvalidArgument(f"{path}: malformed JSON config: {exc}") from None
-    return RunConfig.from_dict(raw)
+    return RunConfig.from_dict(_load_json(path, "config"))
 
 
 def load_datasets(cfg: RunConfig) -> tuple:
     """(train Dataset, test Dataset) for a config."""
     ds = cfg.dataset
-    if ds["kind"] == "cifar10":
-        require(ds["path"], "dataset.path is required for cifar10")
-        train, test = load_cifar10(ds["path"])
-    elif ds["kind"] == "synthetic":
-        train = synth_dataset(ds["synth_kind"], ds["synth_n"], ds["synth_seed"])
-        test = synth_dataset(ds["synth_kind"], ds["synth_test_n"], ds["synth_seed"] + 1)
+    if ds.kind == "cifar10":
+        require(ds.path, "dataset.path is required for cifar10")
+        train, test = load_cifar10(ds.path)
+    elif ds.kind == "synthetic":
+        train = synth_dataset(ds.synth_kind, ds.synth_n, ds.synth_seed)
+        test = synth_dataset(ds.synth_kind, ds.synth_test_n, ds.synth_seed + 1)
     else:
-        raise InvalidArgument(f"unknown dataset kind {ds['kind']!r}")
-    if ds["subset_size"]:
-        train = train.subset(ds["subset_size"], cfg.seed)
-    if ds["test_subset_size"]:
-        test = test.subset(ds["test_subset_size"], cfg.seed + 1)
+        raise InvalidArgument(f"unknown dataset kind {ds.kind!r}")
+    if ds.subset_size:
+        train = train.subset(ds.subset_size, cfg.seed)
+    if ds.test_subset_size:
+        test = test.subset(ds.test_subset_size, cfg.seed + 1)
     return train, test
 
 
@@ -160,11 +157,7 @@ def load_model(ckpt_path, model_spec_path=None) -> Network:
         raise InvalidArgument(
             f"model spec not found at {spec_path}; pass --model-spec explicitly"
         )
-    with open(spec_path, "r", encoding="utf-8") as f:
-        try:
-            meta = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise InvalidArgument(f"{spec_path}: malformed JSON model spec: {exc}") from None
+    meta = _load_json(spec_path, "model spec")
     require(isinstance(meta, dict) and "model" in meta,
             f"{spec_path}: model spec must be a JSON object with a 'model' key")
     net = Network.build(meta["model"], rng=np.random.default_rng(0))

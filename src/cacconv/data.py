@@ -44,6 +44,7 @@ class Dataset:
         """First ``size`` samples after a seeded shuffle."""
         require(0 < size <= len(self),
                 f"subset size must lie in [1, {len(self)}], got {size}")
+        require(seed >= 0, f"subset seed must be non-negative, got {seed}")
         order = np.random.default_rng(seed).permutation(len(self))[:size]
         return Dataset(self.images[order], self.labels[order],
                        split=self.split, num_classes=self.num_classes)
@@ -138,6 +139,7 @@ def synth_dataset(kind: str, n: int, seed: int, size: int = 32) -> Dataset:
     """
     require(n >= 2 and n % 2 == 0, f"need an even sample count >= 2, got {n}")
     require(kind in ("smooth_vs_textured", "two_gaussians"), f"unknown kind {kind!r}")
+    require(seed >= 0, f"synthetic seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     half = n // 2
     if kind == "smooth_vs_textured":

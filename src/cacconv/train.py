@@ -10,6 +10,7 @@ per-layer term injected directly at each gate's score map.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -30,13 +31,14 @@ class OptimizerConfig:
     momentum: float = 0.9
     weight_decay: float = 1e-4
     nesterov: bool = True
-    decay_epochs: list | None = None   # None: floor(0.6 E), floor(0.8 E)
+    decay_epochs: list[int] | None = None   # None: floor(0.6 E), floor(0.8 E)
     decay_factor: float = 0.1
 
     def __post_init__(self):
         require(self.lr > 0, f"lr must be positive, got {self.lr}")
         require(0 <= self.momentum < 1, "momentum must lie in [0, 1)")
         require(self.weight_decay >= 0, "weight_decay must be non-negative")
+        require(self.decay_factor > 0, f"decay_factor must be positive, got {self.decay_factor}")
 
     def schedule(self, epochs: int) -> list:
         if self.decay_epochs is not None:
@@ -297,7 +299,10 @@ def load_checkpoint(path) -> dict:
         name_len = r.u32(f"tensor {idx}: name length")
         if name_len > 4096:
             raise DataFormatError(f"{path}: tensor {idx}: implausible name length {name_len}")
-        name = r.take(name_len, f"tensor {idx}: name").decode("utf-8")
+        try:
+            name = r.take(name_len, f"tensor {idx}: name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataFormatError(f"{path}: tensor {idx}: name is not valid UTF-8") from None
         tag = r.u8(f"tensor {idx} ({name}): dtype tag")
         if tag != _DTYPE_F32:
             raise DataFormatError(f"{path}: tensor {idx} ({name}): unsupported dtype tag {tag}")
@@ -305,8 +310,7 @@ def load_checkpoint(path) -> dict:
         if rank > 8:
             raise DataFormatError(f"{path}: tensor {idx} ({name}): implausible rank {rank}")
         dims = tuple(r.u64(f"tensor {idx} ({name}): dim {d}") for d in range(rank))
-        size = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        payload = r.take(4 * size, f"tensor {idx} ({name}): payload")
+        payload = r.take(4 * math.prod(dims), f"tensor {idx} ({name}): payload")
         tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
     if r.off != len(data):
         raise DataFormatError(
@@ -341,7 +345,7 @@ def train_model(cfg, train_images, train_labels, test_images=None, test_labels=N
     rng = np.random.default_rng(cfg.seed)
     spec = resolve_model_spec(cfg.model)
     net = Network.build(spec, rng=rng)
-    opt = OptimizerState(config=OptimizerConfig(**cfg.optimizer))
+    opt = OptimizerState(config=cfg.optimizer)
 
     out_dir = cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)

@@ -1,16 +1,42 @@
 import json
 import os
+import struct
 import subprocess
 import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cacconv
 from cacconv import InvalidArgument, verify
 from cacconv.cli import RunConfig, load_config, main
 from cacconv.layers import Network, model_presets, resolve_model_spec
 from cacconv.train import save_checkpoint
+
+
+def config_fields() -> list:
+    """Every config field but the model spec, which Network.build checks,
+    as a path of JSON keys."""
+    paths = []
+    for name, default in asdict(RunConfig()).items():
+        if name != "model":
+            paths.append((name,))
+        if isinstance(default, dict):
+            paths += [(name, key) for key in default]
+    return paths
+
+
+# JSON values of every type, out-of-range numbers included.
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+    st.lists(st.integers(-2, 5), max_size=3), st.lists(st.text(max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
 
 
 class TestRunConfig:
@@ -28,9 +54,9 @@ class TestRunConfig:
         cfg = RunConfig.from_dict({})
         assert cfg.lam == 0.3
         assert cfg.epochs == 20 and cfg.batch_size == 64
-        assert cfg.optimizer["momentum"] == 0.9
-        assert cfg.optimizer["nesterov"] is True
-        assert cfg.dataset["kind"] == "synthetic"
+        assert cfg.optimizer.momentum == 0.9
+        assert cfg.optimizer.nesterov is True
+        assert cfg.dataset.kind == "synthetic"
 
     def test_invalid_values_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -47,6 +73,30 @@ class TestRunConfig:
         p.write_text("{not json")
         with pytest.raises(InvalidArgument, match="malformed"):
             load_config(p)
+
+    def test_readme_defaults_match_dataclasses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        shown = readme.split("Defaults shown:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        defaults = asdict(RunConfig())
+        defaults["lambda"] = defaults.pop("lam")
+        assert json.loads(shown) == defaults
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(path=st.sampled_from(config_fields()), value=JSON_VALUES)
+    def test_one_mutated_field_is_rejected_or_valid(self, path, value):
+        *block, key = path
+        d = {block[0]: {key: value}} if block else {key: value}
+        try:
+            cfg = RunConfig.from_dict(d)
+        except InvalidArgument:
+            return
+        assert RunConfig.from_dict(asdict(cfg)) == cfg
+        default = asdict(RunConfig())
+        for name in path:
+            default = default[name]
+        if default is not None and not isinstance(default, dict):
+            # float also takes integers; nothing else changes JSON type
+            assert type(value) is type(default) or (type(default), type(value)) == (float, int)
 
 
 class TestPresets:
@@ -212,14 +262,27 @@ class TestMalformedInputs:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["n"] == 512
 
-    def eval_untrained(self, tmp_path, *flags):
-        """``eval`` of a freshly built ``cac_tiny_synth`` on 8 synthetic images."""
+    def eval_untrained(self, tmp_path, *flags, command="eval"):
+        """``eval`` (or another ``command`` that reads a checkpoint) of a
+        freshly built ``cac_tiny_synth`` on 8 synthetic images."""
         spec = resolve_model_spec("cac_tiny_synth")
         net = Network.build(spec, rng=np.random.default_rng(0))
         save_checkpoint(tmp_path / "model.ckpt", net.state_dict())
         (tmp_path / "model.json").write_text(json.dumps({"model": spec}))
-        return run_cli("eval", "--model", str(tmp_path / "model.ckpt"), "--data", "synthetic",
+        return run_cli(command, "--model", str(tmp_path / "model.ckpt"), "--data", "synthetic",
                        "--synth-n", "8", *flags)
+
+    @pytest.mark.parametrize("command", ["eval", "analyze", "export-ratios"])
+    @pytest.mark.parametrize("flags", [
+        ["--synth-seed", "-1"],
+        ["--subset", "3", "--subset-seed", "-1"],
+    ], ids=["synth_seed", "subset_seed"])
+    def test_negative_seed_flag(self, tmp_path, command, flags):
+        extra = {"eval": [], "analyze": ["--out", str(tmp_path / "cost.csv")],
+                 "export-ratios": ["--image", "0", "--out", str(tmp_path / "ratios")]}
+        proc = self.eval_untrained(tmp_path, *flags, *extra[command], command=command)
+        self.assert_clean_failure(proc)
+        assert "seed must be non-negative, got -1" in proc.stderr
 
     @pytest.mark.parametrize("batch_size", ["0", "-3"])
     def test_non_positive_eval_batch_size(self, tmp_path, batch_size):
@@ -247,6 +310,51 @@ class TestMalformedInputs:
         proc = run_cli("train", "--config", str(cfg_path), "--quiet")
         self.assert_clean_failure(proc)
         assert "subset size must lie in" in proc.stderr
+
+    @pytest.mark.parametrize("overrides, expected", [
+        ({"seed": -1}, "seed must be non-negative"),
+        ({"dataset": {"kind": "synthetic", "synth_n": 64, "synth_test_n": 32, "synth_seed": -1}},
+         "seed must be non-negative"),
+        ({"optimizer": {"lr": 0.05, "decay_factor": 0}}, "decay_factor must be positive"),
+        ({"optimizer": {"lr": 0.05, "decay_factor": -1}}, "decay_factor must be positive"),
+    ], ids=["negative_seed", "negative_synth_seed", "zero_decay_factor",
+            "negative_decay_factor"])
+    def test_out_of_range_value_in_config(self, tmp_path, overrides, expected):
+        cfg_path = write_tiny_config(tmp_path, **overrides)
+        proc = run_cli("train", "--config", str(cfg_path), "--quiet")
+        self.assert_clean_failure(proc)
+        assert expected in proc.stderr
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    def test_non_utf8_config(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_bytes(b'{"output_dir": "\xff"}')
+        proc = run_cli("train", "--config", str(cfg_path), "--quiet")
+        self.assert_clean_failure(proc)
+        assert "malformed JSON config" in proc.stderr
+
+    def test_non_utf8_model_json(self, tmp_path):
+        (tmp_path / "model.json").write_bytes(b'{"model": "\xff"}')
+        proc = run_cli("eval", "--model", str(tmp_path / "model.ckpt"), "--data", "synthetic")
+        self.assert_clean_failure(proc)
+        assert "malformed JSON model spec" in proc.stderr
+
+    # Byte offsets in a one-tensor checkpoint named "w": the name at 16,
+    # the first dim at 22 (after the dtype tag and the rank).
+    @pytest.mark.parametrize("offset, patch, expected", [
+        (16, b"\xff", "tensor 0: name is not valid UTF-8"),
+        (22, struct.pack("<Q", 2 ** 62), "truncated reading tensor 0 (w): payload"),
+    ], ids=["non_utf8_tensor_name", "huge_dim"])
+    def test_corrupt_checkpoint(self, tmp_path, offset, patch, expected):
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, {"w": np.ones((2, 2), dtype=np.float32)})
+        raw = bytearray(ckpt.read_bytes())
+        raw[offset:offset + len(patch)] = patch
+        ckpt.write_bytes(bytes(raw))
+        proc = self.eval_with_spec(
+            tmp_path, json.dumps({"model": resolve_model_spec("cac_tiny_synth")}))
+        self.assert_clean_failure(proc)
+        assert expected in proc.stderr
 
     def test_string_epochs_in_config(self, tmp_path):
         cfg_path = write_tiny_config(tmp_path, epochs="3")

@@ -1,11 +1,12 @@
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from cacconv import InvalidArgument, NumericFailure, finite_diff_grad, madds_cac, model_cost
+from cacconv import DataFormatError, InvalidArgument, NumericFailure, finite_diff_grad, madds_cac, model_cost
 from cacconv.cli import RunConfig
 from cacconv.data import synth_dataset
 from cacconv.layers import Linear, Network
@@ -351,3 +352,19 @@ class TestCheckpoint:
         tagged.write_bytes(bytes(bad_tag))
         with pytest.raises(Exception, match="dtype tag"):
             load_checkpoint(tagged)
+
+        bad_name = bytearray(raw)
+        bad_name[tag_off - 1] = 0xFF
+        named = tmp_path / "n.ckpt"
+        named.write_bytes(bytes(bad_name))
+        with pytest.raises(DataFormatError, match="tensor 0: name is not valid UTF-8"):
+            load_checkpoint(named)
+
+        # first dim of 2**62: the payload size overflows int64 but not a
+        # Python integer, so the reader reports the missing bytes
+        huge = bytearray(raw)
+        struct.pack_into("<Q", huge, tag_off + 1 + 4, 2 ** 62)
+        huge_path = tmp_path / "h.ckpt"
+        huge_path.write_bytes(bytes(huge))
+        with pytest.raises(DataFormatError, match=r"truncated reading tensor 0 \(w\): payload"):
+            load_checkpoint(huge_path)
