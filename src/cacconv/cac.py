@@ -23,6 +23,8 @@ import numpy as np
 
 from .tensor import (
     _conv2d_backward,
+    _padded_planes,
+    _tap_slabs,
     channel_mean,
     check_finite,
     col2im_batch,
@@ -145,18 +147,17 @@ def aggregate_kernel(weight: np.ndarray) -> np.ndarray:
     return out
 
 
-def _replicate_pad(x: np.ndarray, axis: int) -> np.ndarray:
-    width = [(0, 0)] * x.ndim
-    width[axis] = (1, 1)
-    return np.pad(x, width, mode="edge")
-
-
 def _corr1d(x: np.ndarray, taps, axis: int) -> np.ndarray:
-    """Length-3 correlation along ``axis`` with replicate border padding."""
-    xp = np.moveaxis(_replicate_pad(x, axis), axis, -1)
-    n = xp.shape[-1] - 2
-    out = xp[..., 0:n] * taps[0] + xp[..., 1:n + 1] * taps[1] + xp[..., 2:n + 2] * taps[2]
-    return np.moveaxis(out, -1, axis)
+    """Length-3 correlation along ``axis`` with replicate border padding:
+    each pixel reads its neighbours along the axis, clamped to the edge."""
+    n = x.shape[axis]
+
+    def span(start, stop):
+        return x[(slice(None),) * (axis % x.ndim) + (slice(start, stop),)]
+
+    before = np.concatenate([span(0, 1), span(0, n - 1)], axis=axis)
+    after = np.concatenate([span(1, n), span(n - 1, n)], axis=axis)
+    return before * taps[0] + x * taps[1] + after * taps[2]
 
 
 def _corr1d_adjoint(g: np.ndarray, taps, axis: int) -> np.ndarray:
@@ -201,8 +202,7 @@ def sobel_gradient_backward(
     """Reverse pass of :func:`sobel_gradient` given its cached maps.
 
     Uses subgradient zero where the magnitude is exactly zero."""
-    safe = np.where(grad > 0, grad, 1.0).astype(grad.dtype)
-    scale = np.where(grad > 0, dgrad / safe, 0.0).astype(grad.dtype)
+    scale = np.divide(dgrad, grad, out=np.zeros_like(grad), where=grad > 0)
     dgx = scale * gx
     dgy = scale * gy
     dxbar = _corr1d_adjoint(_corr1d_adjoint(dgx, SMOOTH_TAPS, axis=-2), DERIV_TAPS, axis=-1)
@@ -213,12 +213,8 @@ def sobel_gradient_backward(
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically guarded logistic: no overflow for any finite input."""
     z = np.asarray(z)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    t = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
 
 
 def score_map(grad: np.ndarray, gamma: float, beta: float) -> np.ndarray:
@@ -284,26 +280,22 @@ def _gate_maps(x: np.ndarray, params: CacConvParams):
     return grad, gx, gy, score
 
 
-def _pbar_map(x: np.ndarray, params: CacConvParams, cols=None) -> np.ndarray:
+def _pbar_map(x: np.ndarray, params: CacConvParams) -> np.ndarray:
     """Per-window representative pixel, one row per input channel, for
     every window.
 
     ``center`` takes each window's center (the input pixel itself), read
     from ``x``; ``mean`` averages all k^2 taps of the zero-padded window,
-    summing taps in fixed order, from ``cols`` (the column matrix of
-    ``x``, built here if not given)."""
-    c_in = x.shape[1]
+    summing from zero in row order (the order of the column matrix's
+    rows), with no column matrix built."""
+    n_batch, c_in, n, _ = x.shape
     if params.pbar_mode == "center":
         return x.transpose(1, 0, 2, 3).reshape(c_in, -1)
-    if cols is None:
-        cols = im2col_batch(x, params.k)
-    k2 = params.k * params.k
-    blocks = cols.reshape(c_in, k2, -1)
-    acc = np.zeros((c_in, blocks.shape[2]), dtype=cols.dtype)
-    for j in range(k2):
-        acc += blocks[:, j, :]
-    acc /= k2
-    return acc
+    acc = np.zeros((c_in, n_batch, n, n), dtype=x.dtype)
+    for slab in _tap_slabs(_padded_planes(x, params.pad), params.k, n):
+        acc += slab
+    acc /= params.k * params.k
+    return acc.reshape(c_in, -1)
 
 
 def _partitions_per_sample(grad, score, mask) -> list[WindowPartition]:
@@ -380,7 +372,7 @@ def _route(x, w, score, mask, params):
 def _blend(x, w, score, mask, params):
     """Soft routing: each output pixel is the score-weighted blend."""
     cols = im2col_batch(x, params.k)
-    pbar = _pbar_map(x, params, cols=cols)
+    pbar = _pbar_map(x, params)
     y_kxk = cols.T @ kernel_matrix(w)
     y_1x1 = pbar.T @ aggregate_kernel(w)
     m_flat = score.reshape(-1, 1)
@@ -493,9 +485,7 @@ def cac_backward(
     if params.pbar_mode == "center":
         dx += dpbar.reshape(c_in, n_batch, n, n).transpose(1, 0, 2, 3)
     else:
-        spread = np.broadcast_to(
-            (dpbar / k2)[:, None, :], (c_in, k2, dpbar.shape[1])
-        ).reshape(c_in * k2, -1)
-        dx += col2im_batch(np.ascontiguousarray(spread), n_batch, c_in, n, k)
+        spread = np.broadcast_to((dpbar / k2)[:, None, :], (c_in, k2, dpbar.shape[1]))
+        dx += col2im_batch(spread, n_batch, c_in, n, k)
 
     return CacGrads(dx=dx, dweight=dweight, dgamma=dgamma, dbeta=dbeta, dbias=dbias)

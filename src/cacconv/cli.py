@@ -25,13 +25,13 @@ from .tensor import require
 from .train import OptimizerConfig, evaluate, load_checkpoint, train_model
 
 
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
                bool: "true or false", list[int]: "a list of integers"}
 
 
 def _has_type(value, hint) -> bool:
-    """JSON type check: float also takes integers, no number takes
-    true/false, and ``X | None`` also takes null."""
+    """JSON type check: float takes any number finite as a float, integers
+    included; no number takes true/false; ``X | None`` also takes null."""
     if typing.get_origin(hint) is list:
         item, = typing.get_args(hint)
         return isinstance(value, list) and all(_has_type(v, item) for v in value)
@@ -39,7 +39,9 @@ def _has_type(value, hint) -> bool:
         return any(_has_type(value, h) for h in typing.get_args(hint))
     if isinstance(value, bool):
         return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
+    if hint is float:  # finite as a float: no inf, nan or overlong integer
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, hint)
 
 
 def _type_name(hint) -> str:
@@ -125,7 +127,7 @@ def _load_json(path, what):
     with open(path, "r", encoding="utf-8") as f:
         try:
             return json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad syntax, bad UTF-8, or an integer too long to read
             raise InvalidArgument(f"{path}: malformed JSON {what}: {exc}") from None
 
 

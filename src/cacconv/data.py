@@ -27,7 +27,6 @@ CIFAR10_STD = (0.2470, 0.2435, 0.2616)
 class Dataset:
     images: np.ndarray   # (N, C, H, W) float32
     labels: np.ndarray   # (N,) int64
-    split: str = ""
     num_classes: int = 10
 
     def __post_init__(self):
@@ -46,8 +45,7 @@ class Dataset:
                 f"subset size must lie in [1, {len(self)}], got {size}")
         require(seed >= 0, f"subset seed must be non-negative, got {seed}")
         order = np.random.default_rng(seed).permutation(len(self))[:size]
-        return Dataset(self.images[order], self.labels[order],
-                       split=self.split, num_classes=self.num_classes)
+        return Dataset(self.images[order], self.labels[order], num_classes=self.num_classes)
 
 
 def parse_cifar10_file(path) -> tuple:
@@ -92,16 +90,16 @@ def load_cifar10(dir_path) -> tuple:
     if not os.path.exists(test_file):
         raise DataFormatError(f"{test_file}: missing test batch")
 
-    def build(files, split):
+    def build(files):
         images, labels = [], []
         for p in files:
             im, lb = parse_cifar10_file(p)
             images.append(im)
             labels.append(lb)
         x = normalize_images(np.concatenate(images))
-        return Dataset(x, np.concatenate(labels), split=split)
+        return Dataset(x, np.concatenate(labels))
 
-    return build(train_files, "train"), build([test_file], "test")
+    return build(train_files), build([test_file])
 
 
 def write_cifar10_batch(path, images_u8: np.ndarray, labels: np.ndarray) -> None:
@@ -156,7 +154,7 @@ def synth_dataset(kind: str, n: int, seed: int, size: int = 32) -> Dataset:
         np.zeros(half, dtype=np.int64), np.ones(half, dtype=np.int64),
     ])
     order = rng.permutation(n)
-    return Dataset(images[order], labels[order], split=kind, num_classes=2)
+    return Dataset(images[order], labels[order], num_classes=2)
 
 
 def augment_batch(images: np.ndarray, rng) -> np.ndarray:

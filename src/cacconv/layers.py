@@ -410,10 +410,9 @@ class Network:
     and an optional trailing softmax_ce marker.
     """
 
-    def __init__(self, layers, head, spec, input_shape):
+    def __init__(self, layers, head, input_shape):
         self.layers = layers
         self.head = head
-        self.spec = spec
         self.input_shape = input_shape
 
     @staticmethod
@@ -445,7 +444,7 @@ class Network:
             shape[0] == num_classes,
             f"final feature width {shape[0]} != num_classes {num_classes}",
         )
-        return Network(layers, SoftmaxCrossEntropy(), spec, (c, size, size))
+        return Network(layers, SoftmaxCrossEntropy(), (c, size, size))
 
     @staticmethod
     def _build_layer(desc, kind, shape, rng, dtype, name):

@@ -19,7 +19,6 @@ Conventions used across the package:
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgument, NumericFailure
 
@@ -51,6 +50,24 @@ def _check_kernel(w: np.ndarray) -> tuple[int, int, int]:
     return k, c_in, c_out
 
 
+def _padded_planes(x: np.ndarray, pad: int) -> np.ndarray:
+    """``x`` as zero-padded channel-major planes (C, N, n + 2 pad, n + 2 pad):
+    the one window layout.  Tap (ky, kx) of the window centred on output
+    pixel (b, y, x) is ``planes[:, b, y + ky, x + kx]``."""
+    n_batch, c, h, w = x.shape
+    planes = np.zeros((c, n_batch, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    planes[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
+    return planes
+
+
+def _tap_slabs(planes: np.ndarray, k: int, n: int):
+    """Views of ``planes`` holding tap (ky, kx) of every window, shape
+    (C, N, n, n), in row order ky * k + kx."""
+    for ky in range(k):
+        for kx in range(k):
+            yield planes[:, :, ky:ky + n, kx:kx + n]
+
+
 def im2col_batch(x: np.ndarray, k: int, windows: np.ndarray | None = None) -> np.ndarray:
     """Column matrix for a whole batch: shape (k*k*C, N*n*n).
 
@@ -67,14 +84,10 @@ def im2col_batch(x: np.ndarray, k: int, windows: np.ndarray | None = None) -> np
     require(k % 2 == 1 and k >= 1, f"kernel size must be odd and >= 1, got {k}")
     pad = (k - 1) // 2
     if windows is None:
-        if pad > 0:
-            xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        else:
-            xp = x
-        # (N, C, n, n, k, k) windows; center of window (y, x) is input pixel (y, x)
-        win = sliding_window_view(xp, (k, k), axis=(2, 3))
-        cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n_batch * h * w)
-        return np.ascontiguousarray(cols)
+        cols = np.empty((c, k * k, n_batch, h, w), dtype=x.dtype)
+        for j, slab in enumerate(_tap_slabs(_padded_planes(x, pad), k, h)):
+            cols[:, j] = slab
+        return cols.reshape(c * k * k, n_batch * h * w)
 
     windows = np.asarray(windows)
     require(windows.ndim == 1, f"windows must be a 1-d index array, got rank {windows.ndim}")
@@ -84,20 +97,16 @@ def im2col_batch(x: np.ndarray, k: int, windows: np.ndarray | None = None) -> np
             f"window indices must lie in [0, {n_batch * h * w})")
     if windows.size == 0:
         return np.empty((c * k * k, 0), dtype=x.dtype)
-    # Gather from one flat zero-padded plane per channel: a window's tap
-    # (ky, kx) sits ky * side + kx past its top-left pixel, so one index
-    # vector per tap serves every channel.
+    # In the flattened planes a window's tap (ky, kx) sits ky * side + kx
+    # past its top-left pixel, so one index vector per tap serves every
+    # channel.
     side = h + 2 * pad
-    planes = np.zeros((c, n_batch, side, side), dtype=x.dtype)
-    planes[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
-    planes = planes.reshape(c, -1)
+    planes = _padded_planes(x, pad).reshape(c, -1)
     sample, pixel = np.divmod(windows.astype(np.int64), h * w)
     top_left = sample * (side * side) + (pixel // w) * side + pixel % w
     cols = np.empty((c, k * k, windows.size), dtype=x.dtype)
-    for ky in range(k):
-        row = top_left + ky * side
-        for kx in range(k):
-            cols[:, ky * k + kx] = planes.take(row + kx, axis=1)
+    for j in range(k * k):
+        cols[:, j] = planes.take(top_left + (j // k) * side + j % k, axis=1)
     return cols.reshape(c * k * k, windows.size)
 
 
@@ -160,18 +169,15 @@ def _conv2d_backward(
 def col2im_batch(cols: np.ndarray, n_batch: int, c: int, n: int, k: int) -> np.ndarray:
     """Adjoint of im2col_batch: scatter-add columns back onto (N, C, n, n).
 
-    Used by convolution backward passes to accumulate window gradients
-    into overlapping input positions (padding region is discarded).
+    ``cols`` may be any array that reshapes to (C, k*k, N, n, n), a
+    broadcast view included.  The padding is discarded.
     """
     pad = (k - 1) // 2
-    d6 = cols.reshape(c, k, k, n_batch, n, n).transpose(3, 0, 1, 2, 4, 5)
-    dxp = np.zeros((n_batch, c, n + 2 * pad, n + 2 * pad), dtype=cols.dtype)
-    for ky in range(k):
-        for kx in range(k):
-            dxp[:, :, ky:ky + n, kx:kx + n] += d6[:, :, ky, kx]
-    if pad > 0:
-        return np.ascontiguousarray(dxp[:, :, pad:pad + n, pad:pad + n])
-    return dxp
+    taps = cols.reshape(c, k * k, n_batch, n, n)
+    planes = np.zeros((c, n_batch, n + 2 * pad, n + 2 * pad), dtype=cols.dtype)
+    for j, slab in enumerate(_tap_slabs(planes, k, n)):
+        slab += taps[:, j]
+    return np.ascontiguousarray(planes[:, :, pad:pad + n, pad:pad + n].transpose(1, 0, 2, 3))
 
 
 def channel_mean(x: np.ndarray) -> np.ndarray:

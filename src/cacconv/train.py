@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cost import cost_penalty, madds_cac, madds_standard, model_cost
+from .data import augment_batch
 from .errors import DataFormatError, NumericFailure
 from .ioutil import atomic_write_bytes, atomic_write_text
 from .layers import Network, resolve_model_spec
@@ -311,7 +312,11 @@ def load_checkpoint(path) -> dict:
             raise DataFormatError(f"{path}: tensor {idx} ({name}): implausible rank {rank}")
         dims = tuple(r.u64(f"tensor {idx} ({name}): dim {d}") for d in range(rank))
         payload = r.take(4 * math.prod(dims), f"tensor {idx} ({name}): payload")
-        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        try:
+            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        except ValueError:  # zero-size, but a dim or their product exceeds numpy's range
+            raise DataFormatError(
+                f"{path}: tensor {idx} ({name}): shape {dims} is too large") from None
     if r.off != len(data):
         raise DataFormatError(
             f"{path}: {len(data) - r.off} trailing bytes after tensor {count - 1}"
@@ -373,7 +378,6 @@ def train_model(cfg, train_images, train_labels, test_images=None, test_labels=N
             xb = train_images[idx]
             yb = train_labels[idx]
             if cfg.augment:
-                from .data import augment_batch
                 xb = augment_batch(xb, aug_rng)
             net.zero_grads()
             step = forward_backward(net, xb, yb, cfg.lam, penalty=penalty)

@@ -20,7 +20,7 @@ from cacconv import (
 from cacconv import cac as cac_module
 from cacconv.cac import sigmoid
 from cacconv.oracle import _sobel_maps_naive
-from cacconv.tensor import channel_mean
+from cacconv.tensor import channel_mean, im2col_batch
 
 
 def small_params(rng, c_in, c_out, k=3, dtype=np.float32, **kw):
@@ -318,6 +318,44 @@ class TestHardForwardProperties:
         # rho = 1 exactly: every column is gathered, none runs 1 x 1.
         for part in assert_hard_matches_naive(*case):
             assert part.sharp_mask.all()
+
+
+class TestMeanRepresentative:
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mean_is_tap_order_sum_of_column_rows(self, k, dtype):
+        rng = np.random.default_rng(k)
+        x = rng.standard_normal((2, 3, 9, 9)).astype(dtype)
+        # -0.0 regions wider than a window: a sum that started from the
+        # first tap instead of from +0.0 would keep their sign.
+        x[0, 1] = -0.0
+        x[1, 2, :k + 2, :k + 2] = -0.0
+        params = small_params(rng, 3, 2, k=k, dtype=dtype, pbar_mode="mean")
+        rows = im2col_batch(x, k).reshape(3, k * k, -1)
+        expected = np.zeros_like(rows[:, 0])
+        for j in range(k * k):
+            expected += rows[:, j]
+        expected /= k * k
+        got = cac_module._pbar_map(x, params)
+        assert got.dtype == dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_hard_path_at_rho_zero_builds_no_columns(self, monkeypatch):
+        real = cac_module.im2col_batch
+        calls = []
+
+        def recording(x, k, windows=None):
+            calls.append(None if windows is None else len(windows))
+            return real(x, k, windows)
+
+        monkeypatch.setattr(cac_module, "im2col_batch", recording)
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((2, 3, 9, 9)).astype(np.float32)
+        params = small_params(rng, 3, 4, k=5, gamma=1.0, beta=-50.0, pbar_mode="mean")
+        y, parts = cac_forward_hard(x, params)
+        assert sum(p.sharp_count for p in parts) == 0
+        assert calls == [0]
+        assert np.array_equal(y, cac_forward_naive(x, params)[0])
 
 
 class TestSoftForward:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 import subprocess
@@ -12,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cacconv
-from cacconv import InvalidArgument, verify
-from cacconv.cli import RunConfig, load_config, main
+from cacconv import DataFormatError, InvalidArgument, NumericFailure, verify
+from cacconv.cli import RunConfig, load_config, load_model, main
+from cacconv.data import parse_cifar10_file, write_cifar10_batch
 from cacconv.layers import Network, model_presets, resolve_model_spec
-from cacconv.train import save_checkpoint
+from cacconv.train import load_checkpoint, save_checkpoint
 
 
 def config_fields() -> list:
@@ -63,7 +65,8 @@ class TestRunConfig:
             RunConfig.from_dict({"lambda": -0.1})
         with pytest.raises(InvalidArgument):
             RunConfig.from_dict({"epochs": 0})
-        for bad in ({"epochs": "3"}, {"epochs": True}, {"lambda": "0.3"}, {"augment": 1}):
+        for bad in ({"epochs": "3"}, {"epochs": True}, {"lambda": "0.3"}, {"augment": 1},
+                    {"lambda": 10 ** 400}):
             with pytest.raises(InvalidArgument, match="must be"):
                 RunConfig.from_dict(bad)
         assert RunConfig.from_dict({"lambda": 1}).lam == 1
@@ -71,6 +74,13 @@ class TestRunConfig:
     def test_malformed_json_file(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text("{not json")
+        with pytest.raises(InvalidArgument, match="malformed"):
+            load_config(p)
+
+    def test_integer_too_long_to_read(self, tmp_path):
+        # json.load raises a plain ValueError past Python's 4300-digit limit
+        p = tmp_path / "cfg.json"
+        p.write_text('{"seed": ' + "1" * 5000 + "}")
         with pytest.raises(InvalidArgument, match="malformed"):
             load_config(p)
 
@@ -317,8 +327,15 @@ class TestMalformedInputs:
          "seed must be non-negative"),
         ({"optimizer": {"lr": 0.05, "decay_factor": 0}}, "decay_factor must be positive"),
         ({"optimizer": {"lr": 0.05, "decay_factor": -1}}, "decay_factor must be positive"),
+        ({"lambda": float("inf")}, "lambda must be a finite number, got inf"),
+        ({"optimizer": {"lr": float("inf")}}, "optimizer.lr must be a finite number, got inf"),
+        ({"optimizer": {"lr": 0.05, "decay_factor": float("inf")}},
+         "optimizer.decay_factor must be a finite number, got inf"),
+        ({"optimizer": {"lr": 0.05, "weight_decay": float("inf")}},
+         "optimizer.weight_decay must be a finite number, got inf"),
     ], ids=["negative_seed", "negative_synth_seed", "zero_decay_factor",
-            "negative_decay_factor"])
+            "negative_decay_factor", "infinite_lambda", "infinite_lr",
+            "infinite_decay_factor", "infinite_weight_decay"])
     def test_out_of_range_value_in_config(self, tmp_path, overrides, expected):
         cfg_path = write_tiny_config(tmp_path, **overrides)
         proc = run_cli("train", "--config", str(cfg_path), "--quiet")
@@ -340,11 +357,15 @@ class TestMalformedInputs:
         assert "malformed JSON model spec" in proc.stderr
 
     # Byte offsets in a one-tensor checkpoint named "w": the name at 16,
-    # the first dim at 22 (after the dtype tag and the rank).
+    # the first dim at 22 (after the dtype tag and the rank), the second at 30.
     @pytest.mark.parametrize("offset, patch, expected", [
         (16, b"\xff", "tensor 0: name is not valid UTF-8"),
         (22, struct.pack("<Q", 2 ** 62), "truncated reading tensor 0 (w): payload"),
-    ], ids=["non_utf8_tensor_name", "huge_dim"])
+        (22, struct.pack("<QQ", 2 ** 62, 0),
+         "tensor 0 (w): shape (4611686018427387904, 0) is too large"),
+        (22, struct.pack("<QQ", 2 ** 63, 0),
+         "tensor 0 (w): shape (9223372036854775808, 0) is too large"),
+    ], ids=["non_utf8_tensor_name", "huge_dim", "zero_size_huge_dim", "zero_size_dim_over_2_63"])
     def test_corrupt_checkpoint(self, tmp_path, offset, patch, expected):
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, {"w": np.ones((2, 2), dtype=np.float32)})
@@ -389,6 +410,108 @@ class TestMalformedInputs:
         proc = self.eval_with_spec(tmp_path, json.dumps({"model": spec}))
         self.assert_clean_failure(proc)
         assert "error: layer 0" in proc.stderr
+
+
+# What cli.main turns into an ``error:`` line and exit 1.
+MAPPED_ERRORS = (InvalidArgument, DataFormatError, NumericFailure, OSError)
+
+FUZZ_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def checkpoint_fields(raw: bytes) -> list:
+    """(offset, width) of every u32 and u64 header field of a checkpoint."""
+    found = [(4, 4), (8, 4)]   # version, tensor count
+    off = 12
+    for _ in range(struct.unpack_from("<I", raw, 8)[0]):
+        found.append((off, 4))   # name length
+        off += 4 + struct.unpack_from("<I", raw, off)[0] + 1
+        rank = struct.unpack_from("<I", raw, off)[0]
+        dims = struct.unpack_from(f"<{rank}Q", raw, off + 4)
+        found += [(off, 4)] + [(off + 4 + 8 * d, 8) for d in range(rank)]
+        off += 4 + 8 * rank + 4 * math.prod(dims)
+    return found
+
+
+@st.composite
+def damaged(draw, raw: bytes) -> bytes:
+    """``raw`` with one byte flipped, or cut short."""
+    pos = draw(st.integers(0, len(raw) - 1))
+    if draw(st.booleans()):
+        return raw[:pos]
+    out = bytearray(raw)
+    out[pos] ^= draw(st.integers(1, 255))
+    return bytes(out)
+
+
+@st.composite
+def rewritten_field(draw, raw: bytes) -> bytes:
+    """``raw`` with one header field set to a drawn integer."""
+    off, width = draw(st.sampled_from(checkpoint_fields(raw)))
+    value = draw(st.sampled_from([0, 1, 2 ** 31, 2 ** 62, 2 ** 63, 2 ** 64 - 1])
+                 | st.integers(0, 2 ** 64 - 1))
+    out = bytearray(raw)
+    out[off:off + width] = (value % 2 ** (8 * width)).to_bytes(width, "little")
+    return bytes(out)
+
+
+class TestReaderFuzz:
+    """Every reader of a user file, given a damaged copy of a valid one,
+    returns or raises only what ``cli.main`` reports as ``error:``."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("fuzz")
+        spec = resolve_model_spec("cac_tiny_synth")
+        save_checkpoint(d / "model.ckpt",
+                        Network.build(spec, rng=np.random.default_rng(0)).state_dict())
+        # A valid checkpoint may hold zero-size tensors.
+        save_checkpoint(d / "small.ckpt", {"w": np.ones((2, 3), np.float32),
+                                           "empty": np.zeros((0, 4), np.float32)})
+        (d / "model.json").write_text(json.dumps({"model": spec}, separators=(",", ":")))
+        write_tiny_config(d)
+        rng = np.random.default_rng(0)
+        write_cifar10_batch(d / "batch.bin", rng.integers(0, 256, (2, 3, 32, 32), np.uint8),
+                            np.array([3, 9]))
+        return d
+
+    @staticmethod
+    def check(call, *args):
+        try:
+            call(*args)
+        except MAPPED_ERRORS:
+            pass
+
+    @FUZZ_SETTINGS
+    @given(data=st.data(), name=st.sampled_from(["model.ckpt", "small.ckpt"]))
+    def test_checkpoint(self, files, data, name):
+        raw = (files / name).read_bytes()
+        path = files / "fuzzed" / "model.ckpt"
+        path.parent.mkdir(exist_ok=True)
+        (files / "fuzzed" / "model.json").write_bytes((files / "model.json").read_bytes())
+        path.write_bytes(data.draw(damaged(raw) | rewritten_field(raw)))
+        self.check(load_checkpoint, path)
+        self.check(load_model, path)
+
+    @FUZZ_SETTINGS
+    @given(data=st.data())
+    def test_model_json(self, files, data):
+        spec = files / "fuzzed_spec.json"
+        spec.write_bytes(data.draw(damaged((files / "model.json").read_bytes())))
+        self.check(load_model, files / "model.ckpt", spec)
+
+    @FUZZ_SETTINGS
+    @given(data=st.data())
+    def test_config(self, files, data):
+        path = files / "fuzzed_config.json"
+        path.write_bytes(data.draw(damaged((files / "config.json").read_bytes())))
+        self.check(load_config, path)
+
+    @FUZZ_SETTINGS
+    @given(data=st.data())
+    def test_cifar_batch(self, files, data):
+        path = files / "fuzzed_batch.bin"
+        path.write_bytes(data.draw(damaged((files / "batch.bin").read_bytes())))
+        self.check(parse_cifar10_file, path)
 
 
 class TestVerifyCommand:

@@ -108,6 +108,23 @@ class TestCol2Im:
         rhs = float((x * col2im_batch(c, 2, 3, 6, 3)).sum())
         assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1.0)
 
+    @pytest.mark.parametrize("c, n", [(3, 32), (16, 16), (32, 8)])
+    def test_bit_for_bit_against_nchw_accumulation(self, c, n):
+        # Each tap's slab added into zero NCHW planes in row order, then
+        # cropped: the same additions in the same order.
+        k, pad, n_batch = 5, 2, 3
+        rng = np.random.default_rng(c)
+        cols = rng.standard_normal((c * k * k, n_batch * n * n)).astype(np.float32)
+        taps = cols.reshape(c, k, k, n_batch, n, n).transpose(3, 0, 1, 2, 4, 5)
+        dxp = np.zeros((n_batch, c, n + 2 * pad, n + 2 * pad), dtype=np.float32)
+        for ky in range(k):
+            for kx in range(k):
+                dxp[:, :, ky:ky + n, kx:kx + n] += taps[:, :, ky, kx]
+        expected = np.ascontiguousarray(dxp[:, :, pad:pad + n, pad:pad + n])
+        got = col2im_batch(cols, n_batch, c, n, k)
+        assert got.flags.c_contiguous and got.dtype == np.float32
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestChannelMean:
     def test_two_constant_channels(self):
