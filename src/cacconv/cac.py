@@ -23,14 +23,13 @@ import numpy as np
 
 from .tensor import (
     _conv2d_backward,
-    _padded_planes,
-    _tap_slabs,
     channel_mean,
     check_finite,
     col2im_batch,
     im2col_batch,
     kernel_matrix,
     require,
+    window_mean,
 )
 
 PBAR_MODES = ("center", "mean")
@@ -161,17 +160,23 @@ def _corr1d(x: np.ndarray, taps, axis: int) -> np.ndarray:
 
 
 def _corr1d_adjoint(g: np.ndarray, taps, axis: int) -> np.ndarray:
-    """Adjoint of ``_corr1d``: spreads output gradients back onto inputs,
-    folding the replicate-padded border contributions onto the edge pixels."""
-    gm = np.moveaxis(g, axis, -1)
-    n = gm.shape[-1]
-    dxp = np.zeros(gm.shape[:-1] + (n + 2,), dtype=g.dtype)
-    for d in range(3):
-        dxp[..., d:d + n] += taps[d] * gm
-    dx = dxp[..., 1:n + 1].copy()
-    dx[..., 0] += dxp[..., 0]
-    dx[..., -1] += dxp[..., n + 1]
-    return np.moveaxis(dx, -1, axis)
+    """Adjoint of ``_corr1d``: spreads output gradients back onto inputs.
+
+    Pixel i adds taps[0] * g[i + 1], taps[1] * g[i] and taps[2] * g[i - 1]
+    from zero, in that order, where those exist.  The edge pixels then fold
+    in the replicate border's terms, each summed from zero first."""
+    n = g.shape[axis]
+
+    def span(start, stop):
+        return (slice(None),) * (axis % g.ndim) + (slice(start, stop),)
+
+    dx = np.zeros_like(g)
+    dx[span(0, n - 1)] += taps[0] * g[span(1, n)]
+    dx += taps[1] * g
+    dx[span(1, n)] += taps[2] * g[span(0, n - 1)]
+    dx[span(0, 1)] += 0.0 + taps[0] * g[span(0, 1)]
+    dx[span(n - 1, n)] += 0.0 + taps[2] * g[span(n - 1, n)]
+    return dx
 
 
 def _sobel_with_cache(xbar: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -247,8 +252,7 @@ class SoftCache:
     gy: np.ndarray
     grad: np.ndarray          # (N, 1, n, n)
     score: np.ndarray         # (N, 1, n, n)
-    y_kxk: np.ndarray         # (N n^2, c_out)
-    y_1x1: np.ndarray         # (N n^2, c_out)
+    y_diff: np.ndarray        # (N n^2, c_out): k x k branch minus 1 x 1 branch
     params: CacConvParams
 
 
@@ -285,17 +289,11 @@ def _pbar_map(x: np.ndarray, params: CacConvParams) -> np.ndarray:
     every window.
 
     ``center`` takes each window's center (the input pixel itself), read
-    from ``x``; ``mean`` averages all k^2 taps of the zero-padded window,
-    summing from zero in row order (the order of the column matrix's
-    rows), with no column matrix built."""
-    n_batch, c_in, n, _ = x.shape
+    from ``x``; ``mean`` averages all k^2 taps of the zero-padded window
+    (:func:`~cacconv.tensor.window_mean`)."""
     if params.pbar_mode == "center":
-        return x.transpose(1, 0, 2, 3).reshape(c_in, -1)
-    acc = np.zeros((c_in, n_batch, n, n), dtype=x.dtype)
-    for slab in _tap_slabs(_padded_planes(x, params.pad), params.k, n):
-        acc += slab
-    acc /= params.k * params.k
-    return acc.reshape(c_in, -1)
+        return x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
+    return window_mean(x, params.k)
 
 
 def _partitions_per_sample(grad, score, mask) -> list[WindowPartition]:
@@ -373,11 +371,15 @@ def _blend(x, w, score, mask, params):
     """Soft routing: each output pixel is the score-weighted blend."""
     cols = im2col_batch(x, params.k)
     pbar = _pbar_map(x, params)
-    y_kxk = cols.T @ kernel_matrix(w)
+    y = cols.T @ kernel_matrix(w)
     y_1x1 = pbar.T @ aggregate_kernel(w)
+    y_diff = y - y_1x1
+    # M * y_kxk + (1 - M) * y_1x1, in that order, in the branches' buffers.
     m_flat = score.reshape(-1, 1)
-    y = m_flat * y_kxk + (1.0 - m_flat) * y_1x1
-    return y.T, {"cols": cols, "pbar": pbar, "y_kxk": y_kxk, "y_1x1": y_1x1}
+    y *= m_flat
+    y_1x1 *= 1.0 - m_flat
+    y += y_1x1
+    return y.T, {"cols": cols, "pbar": pbar, "y_diff": y_diff}
 
 
 def cac_forward_hard(
@@ -461,7 +463,7 @@ def cac_backward(
     dy_1x1 = (1.0 - m_flat) * dyf
 
     # Gate path: dL/dM from the blend, plus any externally injected term.
-    dscore = ((cache.y_kxk - cache.y_1x1) * dyf).sum(axis=1).reshape(score.shape)
+    dscore = (cache.y_diff * dyf).sum(axis=1).reshape(score.shape)
     if extra_score_grad is not None:
         dscore = dscore + np.asarray(extra_score_grad, dtype=score.dtype)
     dz = dscore * score * (1.0 - score)

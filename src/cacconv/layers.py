@@ -186,37 +186,55 @@ class BatchNorm2d(Layer):
     def forward(self, x, train):
         require(x.ndim == 4 and x.shape[1] == self.c,
                 f"expected (N, {self.c}, H, W), got {x.shape}")
-        if train:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            self.running_mean[...] = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var[...] = (1 - self.momentum) * self.running_var + self.momentum * var
-        else:
-            mean, var = self.running_mean, self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
         # x stays untouched (the network keeps every layer's output); the
-        # in-place steps act on the fresh x - mean buffer, whose dtype is
-        # the widest of the operands, in the order of the plain expression.
-        xhat = x - mean[None, :, None, None]
-        xhat *= inv_std[None, :, None, None]
-        if train:
-            self._cache = (xhat, inv_std)
-            return self.gamma[None, :, None, None] * xhat + self.beta[None, :, None, None]
-        xhat *= self.gamma[None, :, None, None]
-        xhat += self.beta[None, :, None, None]
-        return xhat
+        # in-place steps act on fresh buffers, each of its result's dtype,
+        # in the order of the plain expression.
+        gamma, beta = self.gamma[None, :, None, None], self.beta[None, :, None, None]
+        if not train:
+            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
+            xhat = x - self.running_mean[None, :, None, None]
+            xhat *= inv_std[None, :, None, None]
+            xhat *= gamma
+            xhat += beta
+            return xhat
+        axes = (0, 2, 3)
+        mean = x.mean(axis=axes)
+        # x.var's own steps, on the deviation it shares with xhat: the sum
+        # of squares over the axes, divided by the count as an intp.
+        dev = x - mean[None, :, None, None]
+        sq = np.square(dev)
+        var = np.add.reduce(sq, axis=axes)
+        var /= np.intp(x.size // self.c)
+        self.running_mean[...] = (1 - self.momentum) * self.running_mean + self.momentum * mean
+        self.running_var[...] = (1 - self.momentum) * self.running_var + self.momentum * var
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        dev *= inv_std[None, :, None, None]
+        self._cache = (dev, inv_std)
+        y = np.multiply(gamma, dev, out=sq if sq.dtype == np.result_type(gamma, dev) else None)
+        y += beta
+        return y
 
     def backward(self, dy):
         xhat, inv_std = self._cache
         m = dy.shape[0] * dy.shape[2] * dy.shape[3]
-        self.grads = {
-            "gamma": (dy * xhat).sum(axis=(0, 2, 3)),
-            "beta": dy.sum(axis=(0, 2, 3)),
-        }
+        axes = (0, 2, 3)
+        # (inv_std / m) * (m * dxhat - s1 - xhat * s2), step by step in two
+        # buffers: ``prod`` holds dy * xhat, dxhat * xhat, xhat * s2 and
+        # the result; ``dxhat`` holds dy * gamma, then m * dxhat - s1.
+        prod = dy * xhat
+        self.grads = {"gamma": prod.sum(axis=axes), "beta": dy.sum(axis=axes)}
         dxhat = dy * self.gamma[None, :, None, None]
-        s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-        s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-        return (inv_std[None, :, None, None] / m) * (m * dxhat - s1 - xhat * s2)
+        s1 = dxhat.sum(axis=axes, keepdims=True)
+        if prod.dtype != np.result_type(dxhat, xhat):
+            prod = None
+        prod = np.multiply(dxhat, xhat, out=prod)
+        s2 = prod.sum(axis=axes, keepdims=True)
+        dxhat *= m
+        dxhat -= s1
+        np.multiply(xhat, s2, out=prod)
+        np.subtract(dxhat, prod, out=prod)
+        np.multiply(inv_std[None, :, None, None] / m, prod, out=prod)
+        return prod
 
 
 class ReLU(Layer):
@@ -259,8 +277,13 @@ class AvgPool2d(Layer):
 
     def backward(self, dy):
         k = self.k
+        n, c, h, w = dy.shape
         self.grads = {}
-        return np.repeat(np.repeat(dy, k, axis=2), k, axis=3) / (k * k)
+        # One broadcast write of each widened row over the k rows it feeds.
+        row = np.repeat(dy / (k * k), k, axis=3)
+        dx = np.empty((n, c, h, k, w * k), dtype=row.dtype)
+        dx[...] = row[:, :, :, None]
+        return dx.reshape(n, c, h * k, w * k)
 
 
 class GlobalAvgPool(Layer):

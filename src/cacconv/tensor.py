@@ -50,22 +50,64 @@ def _check_kernel(w: np.ndarray) -> tuple[int, int, int]:
     return k, c_in, c_out
 
 
-def _padded_planes(x: np.ndarray, pad: int) -> np.ndarray:
-    """``x`` as zero-padded channel-major planes (C, N, n + 2 pad, n + 2 pad):
-    the one window layout.  Tap (ky, kx) of the window centred on output
-    pixel (b, y, x) is ``planes[:, b, y + ky, x + kx]``."""
+def _taps(k: int) -> list[tuple[int, int]]:
+    """Offset (dy, dx) of each tap's pixel from its window's centre, in
+    row order ky * k + kx."""
+    pad = (k - 1) // 2
+    return [(ky - pad, kx - pad) for ky in range(k) for kx in range(k)]
+
+
+def _planes(x: np.ndarray) -> np.ndarray:
+    """``x`` as channel-major flat planes (C, N n^2 + 1): the one window
+    layout.  Column i = b n^2 + y n + x holds pixel (b, y, x), so tap
+    (dy, dx) of the window centred there is column i + dy n + dx whenever
+    it stays inside the plane.  The last column is +0.0, which a gathered
+    tap that leaves the plane reads."""
     n_batch, c, h, w = x.shape
-    planes = np.zeros((c, n_batch, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    planes[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
+    size = n_batch * h * w
+    planes = np.empty((c, size + 1), dtype=x.dtype)
+    planes[:, :size].reshape(c, n_batch, h * w)[...] = (
+        x.reshape(n_batch, c, h * w).transpose(1, 0, 2))
+    planes[:, size] = 0.0
     return planes
 
 
-def _tap_slabs(planes: np.ndarray, k: int, n: int):
-    """Views of ``planes`` holding tap (ky, kx) of every window, shape
-    (C, N, n, n), in row order ky * k + kx."""
-    for ky in range(k):
-        for kx in range(k):
-            yield planes[:, :, ky:ky + n, kx:kx + n]
+def _span(shift: int, size: int) -> tuple[slice, slice]:
+    """Slices of the windows i, and of the columns i + shift they read,
+    over which i + shift stays in [0, size): a tap's one contiguous run."""
+    lo = max(0, -shift)
+    hi = max(lo, min(size, size - shift))
+    return slice(lo, hi), slice(lo + shift, hi + shift)
+
+
+def _outside(d: int, n: int) -> slice | None:
+    """Rows (or columns) of an n x n plane whose neighbour d away lies
+    outside the plane, clamped to the plane; None when there are none."""
+    if d > 0:
+        return slice(max(n - d, 0), n)
+    if d < 0:
+        return slice(0, min(-d, n))
+    return None
+
+
+def _fill_outside(slab: np.ndarray, dy: int, dx: int, n: int, value: float) -> None:
+    """Set the windows of ``slab`` (C, N n^2) whose tap (dy, dx) leaves the
+    plane to ``value``."""
+    grid = slab.reshape(slab.shape[0], -1, n, n)
+    rows, cols = _outside(dy, n), _outside(dx, n)
+    if rows is not None:
+        grid[:, :, rows] = value
+    if cols is not None:
+        grid[:, :, :, cols] = value
+
+
+def _tap_slab(planes: np.ndarray, dy: int, dx: int, n: int, out: np.ndarray) -> None:
+    """Write tap (dy, dx) of every window into ``out`` (C, N n^2): one
+    contiguous copy per channel, then +0.0 where the tap leaves the plane,
+    as zero padding reads."""
+    windows, columns = _span(dy * n + dx, out.shape[1])
+    out[:, windows] = planes[:, columns]
+    _fill_outside(out, dy, dx, n, 0.0)
 
 
 def im2col_batch(x: np.ndarray, k: int, windows: np.ndarray | None = None) -> np.ndarray:
@@ -82,32 +124,46 @@ def im2col_batch(x: np.ndarray, k: int, windows: np.ndarray | None = None) -> np
     n_batch, c, h, w = _check_nchw(x)
     require(h == w, f"spatial dims must be square, got {h}x{w}")
     require(k % 2 == 1 and k >= 1, f"kernel size must be odd and >= 1, got {k}")
-    pad = (k - 1) // 2
+    size = n_batch * h * w
     if windows is None:
-        cols = np.empty((c, k * k, n_batch, h, w), dtype=x.dtype)
-        for j, slab in enumerate(_tap_slabs(_padded_planes(x, pad), k, h)):
-            cols[:, j] = slab
-        return cols.reshape(c * k * k, n_batch * h * w)
+        planes = _planes(x)
+        cols = np.empty((c, k * k, size), dtype=x.dtype)
+        for j, (dy, dx) in enumerate(_taps(k)):
+            _tap_slab(planes, dy, dx, h, cols[:, j])
+        return cols.reshape(c * k * k, size)
 
     windows = np.asarray(windows)
     require(windows.ndim == 1, f"windows must be a 1-d index array, got rank {windows.ndim}")
     require(windows.size == 0 or np.issubdtype(windows.dtype, np.integer),
             f"windows must hold integers, got {windows.dtype}")
-    require(windows.size == 0 or (windows.min() >= 0 and windows.max() < n_batch * h * w),
-            f"window indices must lie in [0, {n_batch * h * w})")
+    require(windows.size == 0 or (windows.min() >= 0 and windows.max() < size),
+            f"window indices must lie in [0, {size})")
     if windows.size == 0:
         return np.empty((c * k * k, 0), dtype=x.dtype)
-    # In the flattened planes a window's tap (ky, kx) sits ky * side + kx
-    # past its top-left pixel, so one index vector per tap serves every
-    # channel.
-    side = h + 2 * pad
-    planes = _padded_planes(x, pad).reshape(c, -1)
-    sample, pixel = np.divmod(windows.astype(np.int64), h * w)
-    top_left = sample * (side * side) + (pixel // w) * side + pixel % w
+    planes = _planes(x)
+    windows = windows.astype(np.int64)
+    row, col = np.divmod(windows % (h * w), w)
     cols = np.empty((c, k * k, windows.size), dtype=x.dtype)
-    for j in range(k * k):
-        cols[:, j] = planes.take(top_left + (j // k) * side + j % k, axis=1)
+    for j, (dy, dx) in enumerate(_taps(k)):
+        inside = (row + dy >= 0) & (row + dy < h) & (col + dx >= 0) & (col + dx < w)
+        cols[:, j] = planes.take(np.where(inside, windows + dy * w + dx, size), axis=1)
     return cols.reshape(c * k * k, windows.size)
+
+
+def window_mean(x: np.ndarray, k: int) -> np.ndarray:
+    """Mean of every zero-padded k x k window, one row per channel: shape
+    (C, N*n*n), in the column order of :func:`im2col_batch`.  Each sum
+    starts from +0.0 and adds the taps in row order (the order of the
+    column matrix's rows), with no column matrix built."""
+    n_batch, c, n, _ = x.shape
+    planes = _planes(x)
+    acc = np.zeros((c, n_batch * n * n), dtype=x.dtype)
+    slab = np.empty_like(acc)
+    for dy, dx in _taps(k):
+        _tap_slab(planes, dy, dx, n, slab)
+        acc += slab
+    acc /= k * k
+    return acc
 
 
 def kernel_matrix(w: np.ndarray) -> np.ndarray:
@@ -170,14 +226,21 @@ def col2im_batch(cols: np.ndarray, n_batch: int, c: int, n: int, k: int) -> np.n
     """Adjoint of im2col_batch: scatter-add columns back onto (N, C, n, n).
 
     ``cols`` may be any array that reshapes to (C, k*k, N, n, n), a
-    broadcast view included.  The padding is discarded.
+    broadcast view included; it is never written.  Every pixel adds its
+    taps from +0.0 in row order.  A tap that leaves the plane is added as
+    -0.0, which leaves any sum unchanged, so each tap is one contiguous
+    add per channel.
     """
-    pad = (k - 1) // 2
-    taps = cols.reshape(c, k * k, n_batch, n, n)
-    planes = np.zeros((c, n_batch, n + 2 * pad, n + 2 * pad), dtype=cols.dtype)
-    for j, slab in enumerate(_tap_slabs(planes, k, n)):
-        slab += taps[:, j]
-    return np.ascontiguousarray(planes[:, :, pad:pad + n, pad:pad + n].transpose(1, 0, 2, 3))
+    size = n_batch * n * n
+    taps = cols.reshape(c, k * k, size)
+    acc = np.zeros((c, size), dtype=cols.dtype)
+    slab = np.empty_like(acc)
+    for j, (dy, dx) in enumerate(_taps(k)):
+        slab[...] = taps[:, j]
+        _fill_outside(slab, dy, dx, n, -0.0)
+        windows, columns = _span(dy * n + dx, size)
+        acc[:, columns] += slab[:, windows]
+    return np.ascontiguousarray(acc.reshape(c, n_batch, n, n).transpose(1, 0, 2, 3))
 
 
 def channel_mean(x: np.ndarray) -> np.ndarray:

@@ -83,6 +83,32 @@ class TestSobel:
         with pytest.raises(InvalidArgument):
             sobel_gradient(np.zeros((1, 3, 4, 4), dtype=np.float32))
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(taps=st.sampled_from([cac_module.DERIV_TAPS, cac_module.SMOOTH_TAPS]),
+           axis=st.sampled_from([-1, -2]), dtype=st.sampled_from([np.float32, np.float64]),
+           h=st.integers(1, 9), w=st.integers(1, 9), zero_share=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_adjoint_equals_padded_form(self, taps, axis, dtype, h, w, zero_share, seed):
+        # The padded form the adjoint replaced: spread into a zero buffer
+        # two longer along the axis, crop, then fold the two border cells
+        # onto the edge pixels.
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((2, 1, h, w))
+        g[rng.random(g.shape) < zero_share] = -0.0
+        g = g.astype(dtype)
+        gm = np.moveaxis(g, axis, -1)
+        n = gm.shape[-1]
+        dxp = np.zeros(gm.shape[:-1] + (n + 2,), dtype=g.dtype)
+        for d in range(3):
+            dxp[..., d:d + n] += taps[d] * gm
+        dx = dxp[..., 1:n + 1].copy()
+        dx[..., 0] += dxp[..., 0]
+        dx[..., -1] += dxp[..., n + 1]
+        expected = np.moveaxis(dx, -1, axis)
+        got = cac_module._corr1d_adjoint(g, taps, axis)
+        assert got.dtype == dtype and got.shape == g.shape
+        assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
+
 
 class TestScoreAndPartition:
     def test_zero_gradient_gives_sigmoid_beta(self):
@@ -383,10 +409,11 @@ class TestSoftForward:
         rng = np.random.default_rng(15)
         params = small_params(rng, 1, 1, gamma=1.0, beta=0.0)
         x = rng.standard_normal((1, 1, 5, 5)).astype(np.float32)
-        y, parts, cache = cac_forward_soft(x, params)
+        y, parts, _ = cac_forward_soft(x, params)
         m = parts[0].score
-        yk = cache.y_kxk.reshape(5, 5)
-        y1 = cache.y_1x1.reshape(5, 5)
+        yk = conv2d(x, params.weight)[0, 0]
+        pbar = x.reshape(1, 25)  # center mode: each window's own pixel
+        y1 = (pbar.T @ aggregate_kernel(params.weight)).reshape(5, 5)
         expected = m * yk + (1 - m) * y1 + params.bias[0]
         assert np.allclose(y[0, 0], expected, rtol=1e-6)
 
@@ -490,6 +517,19 @@ class TestBackward:
         m = parts[0].score
         expected = float((0.37 * m * (1 - m)).sum())
         assert abs((g1.dbeta - g0.dbeta) - expected) <= 1e-12
+
+    @pytest.mark.parametrize("pbar_mode", ["center", "mean"])
+    def test_cache_reused_gives_identical_grads(self, pbar_mode):
+        # A backward that wrote into its cache would change the second call.
+        rng = np.random.default_rng(22)
+        params = small_params(rng, 2, 3, gamma=1.2, beta=-0.1, pbar_mode=pbar_mode)
+        x = rng.standard_normal((2, 2, 6, 6)).astype(np.float32)
+        _, _, cache = cac_forward_soft(x, params)
+        dy = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
+        first, second = cac_backward(cache, dy, 0.2), cac_backward(cache, dy, 0.2)
+        for name in ("dx", "dweight", "dbias"):
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes(), name
+        assert (first.dgamma, first.dbeta) == (second.dgamma, second.dbeta)
 
 
 class TestParamsValidation:

@@ -207,6 +207,61 @@ class TestForwardBits:
         assert x.tobytes() == x_before.tobytes()
 
 
+class TestBackwardBits:
+    """The pooling and batch-norm training passes reproduce the plain
+    numpy expressions they replaced bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pool_inputs())
+    def test_avgpool_backward_equals_repeated_division(self, case):
+        dy, k = case
+        ref = np.repeat(np.repeat(dy, k, axis=2), k, axis=3) / (k * k)
+        dx = AvgPool2d(k).backward(dy)
+        assert dx.shape == ref.shape and dx.dtype == ref.dtype
+        assert dx.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dy_follows_x", [True, False])
+    @pytest.mark.parametrize("x_dtype,bn_dtype", [
+        (np.float32, np.float32), (np.float64, np.float64),
+        (np.float32, np.float64), (np.float64, np.float32),
+    ])
+    def test_batchnorm_train_pass_equals_plain_expression(self, x_dtype, bn_dtype, dy_follows_x):
+        rng = np.random.default_rng(8)
+        bn = BatchNorm2d(3, dtype=bn_dtype)
+        for buf, lo, hi in ((bn.gamma, 0.5, 1.5), (bn.beta, -0.5, 0.5),
+                            (bn.running_mean, -1.0, 1.0), (bn.running_var, 0.5, 2.0)):
+            buf[:] = rng.uniform(lo, hi, 3)
+        x = (rng.standard_normal((4, 3, 5, 5)) * 3 + 1).astype(x_dtype)
+        x[0, 1, :2] = -0.0
+        gamma, beta = bn.gamma[None, :, None, None], bn.beta[None, :, None, None]
+        # The forward and backward this layer had, written out.
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        running_mean = (1 - bn.momentum) * bn.running_mean + bn.momentum * mean
+        running_var = (1 - bn.momentum) * bn.running_var + bn.momentum * var
+        inv_std = 1.0 / np.sqrt(var + bn.eps)
+        xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+        ref = gamma * xhat + beta
+        dy = rng.standard_normal(x.shape).astype(x_dtype if dy_follows_x else ref.dtype)
+        dy[1, 2] = -0.0
+        m = dy.shape[0] * dy.shape[2] * dy.shape[3]
+        dxhat = dy * gamma
+        s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
+        s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+        dx_ref = (inv_std[None, :, None, None] / m) * (m * dxhat - s1 - xhat * s2)
+
+        y = bn.forward(x, train=True)
+        assert y.dtype == ref.dtype and y.tobytes() == ref.tobytes()
+        cached_xhat, cached_inv_std = bn._cache
+        assert cached_xhat.dtype == xhat.dtype and cached_xhat.tobytes() == xhat.tobytes()
+        assert cached_inv_std.tobytes() == inv_std.tobytes()
+        assert bn.running_mean.tobytes() == running_mean.astype(bn_dtype).tobytes()
+        assert bn.running_var.tobytes() == running_var.astype(bn_dtype).tobytes()
+        dx = bn.backward(dy)
+        assert dx.dtype == dx_ref.dtype and dx.tobytes() == dx_ref.tobytes()
+        assert bn.grads["gamma"].tobytes() == (dy * xhat).sum(axis=(0, 2, 3)).tobytes()
+        assert bn.grads["beta"].tobytes() == dy.sum(axis=(0, 2, 3)).tobytes()
+
+
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_is_log_n_classes(self):
         head = SoftmaxCrossEntropy()

@@ -3,7 +3,7 @@ import pytest
 
 from cacconv import InvalidArgument, conv2d, im2col_batch, kernel_matrix
 from cacconv.oracle import conv2d_naive
-from cacconv.tensor import channel_mean, col2im_batch
+from cacconv.tensor import channel_mean, col2im_batch, window_mean
 
 
 class TestIm2col:
@@ -146,3 +146,110 @@ class TestChannelMean:
                 for ci in range(8):
                     acc = acc + x[0, ci, y, xo]
                 assert got[0, 0, y, xo] == acc / 8
+
+
+# The padded-plane window layout the flat-shift layout replaced: x as
+# zero-padded channel-major planes (C, N, n + 2 pad, n + 2 pad), tap
+# (ky, kx) read as the slab planes[:, :, ky:ky + n, kx:kx + n].
+def padded_planes(x, pad):
+    n_batch, c, h, w = x.shape
+    planes = np.zeros((c, n_batch, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    planes[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
+    return planes
+
+
+def tap_slabs(planes, k, n):
+    for ky in range(k):
+        for kx in range(k):
+            yield planes[:, :, ky:ky + n, kx:kx + n]
+
+
+def padded_im2col(x, k):
+    n_batch, c, n, _ = x.shape
+    cols = np.empty((c, k * k, n_batch, n, n), dtype=x.dtype)
+    for j, slab in enumerate(tap_slabs(padded_planes(x, (k - 1) // 2), k, n)):
+        cols[:, j] = slab
+    return cols.reshape(c * k * k, -1)
+
+
+def padded_gather(x, k, windows):
+    n_batch, c, n, _ = x.shape
+    pad = (k - 1) // 2
+    side = n + 2 * pad
+    planes = padded_planes(x, pad).reshape(c, -1)
+    sample, pixel = np.divmod(windows.astype(np.int64), n * n)
+    top_left = sample * (side * side) + (pixel // n) * side + pixel % n
+    cols = np.empty((c, k * k, windows.size), dtype=x.dtype)
+    for j in range(k * k):
+        cols[:, j] = planes.take(top_left + (j // k) * side + j % k, axis=1)
+    return cols.reshape(c * k * k, windows.size)
+
+
+def padded_col2im(cols, n_batch, c, n, k):
+    pad = (k - 1) // 2
+    taps = cols.reshape(c, k * k, n_batch, n, n)
+    planes = np.zeros((c, n_batch, n + 2 * pad, n + 2 * pad), dtype=cols.dtype)
+    for j, slab in enumerate(tap_slabs(planes, k, n)):
+        slab += taps[:, j]
+    return np.ascontiguousarray(planes[:, :, pad:pad + n, pad:pad + n].transpose(1, 0, 2, 3))
+
+
+def padded_window_mean(x, k):
+    n_batch, c, n, _ = x.shape
+    acc = np.zeros((c, n_batch, n, n), dtype=x.dtype)
+    for slab in tap_slabs(padded_planes(x, (k - 1) // 2), k, n):
+        acc += slab
+    acc /= k * k
+    return acc.reshape(c, -1)
+
+
+def signed_zeros(rng, shape, dtype):
+    """Normal draws with about a third of the entries -0.0 and a sixth +0.0."""
+    a = rng.standard_normal(shape)
+    u = rng.random(shape)
+    a[u < 1 / 3] = -0.0
+    a[(u >= 1 / 3) & (u < 1 / 2)] = 0.0
+    return a.astype(dtype)
+
+
+class TestFlatShiftLayout:
+    """The flat-shift window layout gives the padded-plane layout's bits,
+    including n < k, where every border slice is clamped to the plane."""
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("n", [1, 2, 4, 9])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_padded_planes(self, k, n, dtype):
+        rng = np.random.default_rng(100 * k + n)
+        n_batch, c = 2, 3
+        x = signed_zeros(rng, (n_batch, c, n, n), dtype)
+
+        cols = im2col_batch(x, k)
+        assert cols.dtype == dtype and cols.tobytes() == padded_im2col(x, k).tobytes()
+
+        total = n_batch * n * n
+        for windows in (np.arange(total), rng.permutation(total)[:max(total // 2, 1)],
+                        rng.integers(0, total, 7)):
+            got = im2col_batch(x, k, windows)
+            assert got.tobytes() == padded_gather(x, k, windows).tobytes()
+
+        got = window_mean(x, k)
+        assert got.dtype == dtype and got.tobytes() == padded_window_mean(x, k).tobytes()
+
+        upstream = signed_zeros(rng, (c * k * k, total), dtype)
+        before = upstream.tobytes()
+        got = col2im_batch(upstream, n_batch, c, n, k)
+        assert got.dtype == dtype and got.flags.c_contiguous
+        assert got.tobytes() == padded_col2im(upstream, n_batch, c, n, k).tobytes()
+        assert upstream.tobytes() == before
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_col2im_reads_a_broadcast_view(self, k):
+        # The mean branch's backward passes one row per channel broadcast
+        # over the taps: a read-only view, which col2im must not write.
+        rng = np.random.default_rng(30 + k)
+        n_batch, c, n = 2, 3, 6
+        row = signed_zeros(rng, (c, 1, n_batch * n * n), np.float32)
+        spread = np.broadcast_to(row, (c, k * k, n_batch * n * n))
+        got = col2im_batch(spread, n_batch, c, n, k)
+        assert got.tobytes() == padded_col2im(spread, n_batch, c, n, k).tobytes()
