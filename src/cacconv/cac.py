@@ -22,7 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .tensor import (
-    _conv2d_backward,
+    _conv2d_input_grad,
+    _conv2d_weight_grad,
     channel_mean,
     check_finite,
     col2im_batch,
@@ -258,7 +259,7 @@ class SoftCache:
 
 @dataclass
 class CacGrads:
-    dx: np.ndarray
+    dx: np.ndarray | None     # None when the input gradient was not asked for
     dweight: np.ndarray
     dgamma: float
     dbeta: float
@@ -421,7 +422,11 @@ def cac_forward_soft(
 
 
 def cac_backward(
-    cache: SoftCache, dy: np.ndarray, extra_score_grad: np.ndarray | float | None = None
+    cache: SoftCache,
+    dy: np.ndarray,
+    extra_score_grad: np.ndarray | float | None = None,
+    *,
+    input_grad: bool = True,
 ) -> CacGrads:
     """Exact reverse pass of :func:`cac_forward_soft`.
 
@@ -432,10 +437,14 @@ def cac_backward(
             the score map (the differentiable cost objective uses this to
             route its pressure into the gate); scalar or broadcastable to
             the score map's shape.
+        input_grad: whether to compute the input gradient.  A network's
+            bottom layer passes False, since nothing reads the gradient of
+            the network's input.
 
     Returns:
-        CacGrads with gradients for the input, the kernel, the gate gain
-        and bias, and the channel bias.
+        CacGrads with gradients for the input (None unless
+        ``input_grad``), the kernel, the gate gain and bias, and the
+        channel bias.
 
     The kernel gradient combines the sharp branch with the smooth branch
     distributed uniformly over the spatial taps (the aggregated 1 x 1
@@ -456,6 +465,7 @@ def cac_backward(
     score = cache.score
     m_flat = score.reshape(-1, 1)
     dyf = dy.transpose(0, 2, 3, 1).reshape(-1, params.c_out)
+    w = params.weight.astype(x.dtype, copy=False)
 
     dbias = dyf.sum(axis=0) if params.bias is not None else None
 
@@ -469,25 +479,28 @@ def cac_backward(
     dz = dscore * score * (1.0 - score)
     dgamma = float((dz * cache.grad).sum())
     dbeta = float(dz.sum())
-    dgrad = np.asarray(params.gamma * dz, dtype=x.dtype)
-    dxbar = sobel_gradient_backward(dgrad, cache.gx, cache.gy, cache.grad)
-    dx = np.repeat(dxbar / c_in, c_in, axis=1)
 
-    # Sharp branch.
-    dweight, dx_kxk = _conv2d_backward(
-        cache.cols, params.weight.astype(x.dtype, copy=False), dy_kxk, n_batch, n
-    )
-    dx += dx_kxk
+    # Kernel: the sharp branch, plus the smooth branch through the
+    # aggregated kernel, spread over the taps.
+    dweight = _conv2d_weight_grad(cache.cols, w, dy_kxk)
+    dweight += (cache.pbar @ dy_1x1)[None, None, :, :]
 
-    # Smooth branch through the aggregated kernel.
-    dwphi = cache.pbar @ dy_1x1
-    dweight += dwphi[None, None, :, :]
-    wphi = aggregate_kernel(params.weight.astype(x.dtype, copy=False))
-    dpbar = wphi @ dy_1x1.T
-    if params.pbar_mode == "center":
-        dx += dpbar.reshape(c_in, n_batch, n, n).transpose(1, 0, 2, 3)
-    else:
-        spread = np.broadcast_to((dpbar / k2)[:, None, :], (c_in, k2, dpbar.shape[1]))
-        dx += col2im_batch(spread, n_batch, c_in, n, k)
+    dx = None
+    if input_grad:
+        dgrad = np.asarray(params.gamma * dz, dtype=x.dtype)
+        dxbar = sobel_gradient_backward(dgrad, cache.gx, cache.gy, cache.grad)
+        # Sharp branch, then dxbar / c_in for every channel, added by
+        # broadcast in dxbar's dtype: the bits of np.repeat(dxbar / c_in,
+        # c_in, axis=1) + dx, as addition commutes.
+        dx = _conv2d_input_grad(w, dy_kxk, n_batch, n)
+        dx = np.add(dx, dxbar / c_in, out=dx if dx.dtype == dxbar.dtype else
+                    np.empty(dx.shape, dxbar.dtype))
+        # Smooth branch through the aggregated kernel.
+        dpbar = aggregate_kernel(w) @ dy_1x1.T
+        if params.pbar_mode == "center":
+            dx += dpbar.reshape(c_in, n_batch, n, n).transpose(1, 0, 2, 3)
+        else:
+            spread = np.broadcast_to((dpbar / k2)[:, None, :], (c_in, k2, dpbar.shape[1]))
+            dx += col2im_batch(spread, n_batch, c_in, n, k)
 
     return CacGrads(dx=dx, dweight=dweight, dgamma=dgamma, dbeta=dbeta, dbias=dbias)

@@ -25,7 +25,8 @@ from .cost import LayerCostSpec
 from .errors import InvalidArgument
 from .tensor import (
     DEFAULT_DTYPE,
-    _conv2d_backward,
+    _conv2d_input_grad,
+    _conv2d_weight_grad,
     _conv2d_with_cols,
     require,
 )
@@ -84,14 +85,15 @@ class Conv2d(Layer):
         self._cols = cols if train else None
         return y
 
-    def backward(self, dy):
+    def backward(self, dy, *, input_grad=True):
+        """Fills ``grads``; returns the input gradient, or None when
+        ``input_grad`` is False."""
         n_batch, _, n, _ = dy.shape
         dyf = dy.transpose(0, 2, 3, 1).reshape(-1, self.c_out)
-        dweight, dx = _conv2d_backward(self._cols, self.weight, dyf, n_batch, n)
-        self.grads = {"weight": dweight}
+        self.grads = {"weight": _conv2d_weight_grad(self._cols, self.weight, dyf)}
         if self.bias is not None:
             self.grads["bias"] = dyf.sum(axis=0)
-        return dx
+        return _conv2d_input_grad(self.weight, dyf, n_batch, n) if input_grad else None
 
 
 class CacConv2d(Conv2d):
@@ -145,8 +147,8 @@ class CacConv2d(Conv2d):
         self.last_partitions = parts
         return y
 
-    def backward(self, dy, extra_score_grad=None):
-        g = cac_backward(self._cache, dy, extra_score_grad)
+    def backward(self, dy, extra_score_grad=None, *, input_grad=True):
+        g = cac_backward(self._cache, dy, extra_score_grad, input_grad=input_grad)
         self.grads = {
             "weight": g.dweight,
             "gate_gamma": np.array([g.dgamma]),
@@ -156,13 +158,21 @@ class CacConv2d(Conv2d):
             self.grads["bias"] = g.dbias
         return g.dx
 
+    def _stacked(self, field) -> np.ndarray:
+        """One partition field of the last forward, stacked: (N, n^2)."""
+        parts = self.last_partitions
+        require(parts is not None, "no gated forward recorded")
+        return np.stack([getattr(p, field) for p in parts]).reshape(len(parts), -1)
+
+    # Both rhos are the float64 mean of the per-sample fractions, each
+    # taken as WindowPartition takes it: the same bits as averaging the
+    # partitions' own rho_soft and rho_hard, in two reductions.
     def rho_soft(self) -> float:
-        require(self.last_partitions is not None, "no gated forward recorded")
-        return float(np.mean([p.rho_soft for p in self.last_partitions]))
+        return float(self._stacked("score").mean(axis=1).astype(np.float64).mean())
 
     def rho_hard(self) -> float:
-        require(self.last_partitions is not None, "no gated forward recorded")
-        return float(np.mean([p.rho_hard for p in self.last_partitions]))
+        sharp = self._stacked("sharp_mask")
+        return float((sharp.sum(axis=1) / sharp.shape[1]).mean())
 
 
 class BatchNorm2d(Layer):
@@ -530,14 +540,21 @@ class Network:
         return None
 
     def backward(self, dlogits, score_extras=None):
+        """Reverse pass from the loss gradient ``dlogits``: fills every
+        layer's ``grads`` and returns None.
+
+        ``score_extras`` maps a gated layer's name to the extra dL/dM its
+        score map receives (see :func:`~cacconv.cac.cac_backward`).  Nothing
+        reads the gradient of the network's input, so a convolution at the
+        bottom computes its parameter gradients only."""
         d = dlogits
-        for layer in reversed(self.layers):
+        for depth, layer in reversed(list(enumerate(self.layers))):
+            bottom = {"input_grad": False} if depth == 0 and isinstance(layer, Conv2d) else {}
             if isinstance(layer, CacConv2d):
                 extra = None if score_extras is None else score_extras.get(layer.name)
-                d = layer.backward(d, extra)
+                d = layer.backward(d, extra, **bottom)
             else:
-                d = layer.backward(d)
-        return d
+                d = layer.backward(d, **bottom)
 
     def cac_layers(self):
         return [(l.name, l) for l in self.layers if isinstance(l, CacConv2d)]

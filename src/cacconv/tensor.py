@@ -209,17 +209,20 @@ def _conv2d_with_cols(
     return out, cols
 
 
-def _conv2d_backward(
-    cols: np.ndarray, w: np.ndarray, dyf: np.ndarray, n_batch: int, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse pass of :func:`_conv2d_with_cols` without the bias.
+def _conv2d_weight_grad(cols: np.ndarray, w: np.ndarray, dyf: np.ndarray) -> np.ndarray:
+    """Kernel gradient of :func:`_conv2d_with_cols`, shaped like ``w``.
 
     ``cols`` is the forward's column matrix and ``dyf`` the upstream
-    gradient flattened to (N*n*n, C_out) in output pixel order.  Returns
-    the kernel gradient, shaped like ``w``, and the input gradient."""
+    gradient flattened to (N*n*n, C_out) in output pixel order."""
     k, _, c_in, c_out = w.shape
-    dw = np.ascontiguousarray((cols @ dyf).reshape(c_in, k, k, c_out).transpose(1, 2, 0, 3))
-    return dw, col2im_batch(kernel_matrix(w) @ dyf.T, n_batch, c_in, n, k)
+    return np.ascontiguousarray((cols @ dyf).reshape(c_in, k, k, c_out).transpose(1, 2, 0, 3))
+
+
+def _conv2d_input_grad(w: np.ndarray, dyf: np.ndarray, n_batch: int, n: int) -> np.ndarray:
+    """Input gradient (N, C_in, n, n) of :func:`_conv2d_with_cols`, for
+    ``dyf`` flattened as in :func:`_conv2d_weight_grad`."""
+    k, _, c_in, _ = w.shape
+    return col2im_batch(kernel_matrix(w) @ dyf.T, n_batch, c_in, n, k)
 
 
 def col2im_batch(cols: np.ndarray, n_batch: int, c: int, n: int, k: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from cacconv import (
 from cacconv import cac as cac_module
 from cacconv.cac import sigmoid
 from cacconv.oracle import _sobel_maps_naive
-from cacconv.tensor import channel_mean, im2col_batch
+from cacconv.tensor import channel_mean, col2im_batch, im2col_batch, kernel_matrix
 
 
 def small_params(rng, c_in, c_out, k=3, dtype=np.float32, **kw):
@@ -530,6 +530,56 @@ class TestBackward:
         for name in ("dx", "dweight", "dbias"):
             assert getattr(first, name).tobytes() == getattr(second, name).tobytes(), name
         assert (first.dgamma, first.dbeta) == (second.dgamma, second.dbeta)
+
+    @pytest.mark.parametrize("pbar_mode", ["center", "mean"])
+    def test_direct_call_returns_input_grad_unless_declined(self, pbar_mode):
+        rng = np.random.default_rng(23)
+        params = small_params(rng, 2, 3, gamma=1.2, beta=-0.1, pbar_mode=pbar_mode)
+        x = rng.standard_normal((2, 2, 6, 6)).astype(np.float32)
+        _, _, cache = cac_forward_soft(x, params)
+        dy = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
+        full = cac_backward(cache, dy, 0.2)
+        assert full.dx.shape == x.shape and full.dx.dtype == x.dtype
+        bare = cac_backward(cache, dy, 0.2, input_grad=False)
+        assert bare.dx is None
+        for name in ("dweight", "dbias"):
+            assert getattr(full, name).tobytes() == getattr(bare, name).tobytes(), name
+        assert (full.dgamma, full.dbeta) == (bare.dgamma, bare.dbeta)
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pbar_mode", ["center", "mean"])
+    def test_input_grad_equals_repeat_form(self, k, dtype, pbar_mode):
+        # The input gradient written out with the channel mean's term
+        # repeated over the channels first, then the sharp and smooth
+        # branches added to it.
+        rng = np.random.default_rng(24 + k)
+        c_in, c_out, n_batch, n = 3, 2, 2, k + 2
+        params = small_params(rng, c_in, c_out, k, dtype=dtype, gamma=1.1, beta=-0.2,
+                              pbar_mode=pbar_mode)
+        x = rng.standard_normal((n_batch, c_in, n, n)).astype(dtype)
+        x[rng.random(x.shape) < 0.2] = -0.0
+        _, _, cache = cac_forward_soft(x, params)
+        dy = rng.standard_normal((n_batch, c_out, n, n)).astype(dtype)
+        g = cac_backward(cache, dy, 0.3)
+
+        score = cache.score
+        m = score.reshape(-1, 1)
+        dyf = dy.transpose(0, 2, 3, 1).reshape(-1, c_out)
+        dscore = (cache.y_diff * dyf).sum(axis=1).reshape(score.shape)
+        dscore = dscore + np.asarray(0.3, dtype=score.dtype)
+        dz = dscore * score * (1.0 - score)
+        dgrad = np.asarray(params.gamma * dz, dtype=dtype)
+        dxbar = cac_module.sobel_gradient_backward(dgrad, cache.gx, cache.gy, cache.grad)
+        dx = np.repeat(dxbar / c_in, c_in, axis=1)
+        dx += col2im_batch(kernel_matrix(params.weight) @ (m * dyf).T, n_batch, c_in, n, k)
+        dpbar = aggregate_kernel(params.weight) @ ((1.0 - m) * dyf).T
+        if pbar_mode == "center":
+            dx += dpbar.reshape(c_in, n_batch, n, n).transpose(1, 0, 2, 3)
+        else:
+            spread = np.broadcast_to((dpbar / (k * k))[:, None, :], (c_in, k * k, dpbar.shape[1]))
+            dx += col2im_batch(spread, n_batch, c_in, n, k)
+        assert g.dx.dtype == dx.dtype and g.dx.tobytes() == dx.tobytes()
 
 
 class TestParamsValidation:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cacconv import InvalidArgument, finite_diff_grad
+from cacconv.cac import WindowPartition
 from cacconv.layers import (
     AvgPool2d,
     BatchNorm2d,
@@ -376,3 +377,112 @@ class TestNetwork:
         cac = net.layers[0]
         assert cac.no_decay() == {"gate_gamma", "gate_beta"}
         assert "gate_gamma" in cac.params()
+
+
+def two_conv_spec(kind, k, pbar_mode=None):
+    """Two convolutions of one kind (``conv`` or ``cac_conv``) with batch
+    norm and pooling between them, as in the presets."""
+    conv = {"type": kind, "k": k}
+    if pbar_mode is not None:
+        conv["pbar_mode"] = pbar_mode
+    return {
+        "input": {"channels": 3, "size": 12},
+        "num_classes": 3,
+        "layers": [
+            dict(conv, out=4), {"type": "batchnorm"}, {"type": "relu"},
+            {"type": "avgpool", "k": 2},
+            dict(conv, out=6), {"type": "relu"}, {"type": "global_avgpool"},
+            {"type": "linear", "out": 3}, {"type": "softmax_ce"},
+        ],
+    }
+
+
+def backward_with_input_grad(net, dlogits, score_extras):
+    """A reverse pass that asks every layer, the bottom one included, for
+    its input gradient, and returns the network's."""
+    d = dlogits
+    for layer in reversed(net.layers):
+        if isinstance(layer, CacConv2d):
+            d = layer.backward(d, score_extras.get(layer.name))
+        else:
+            d = layer.backward(d)
+    return d
+
+
+class TestBottomInputGradient:
+    @pytest.mark.parametrize("spec", [
+        "cac_tiny_synth",
+        two_conv_spec("conv", 3), two_conv_spec("conv", 5),
+        two_conv_spec("cac_conv", 3, "mean"), two_conv_spec("cac_conv", 5, "mean"),
+    ], ids=["cac_tiny_synth", "conv_k3", "conv_k5", "mean_k3", "mean_k5"])
+    def test_parameter_grads_unchanged_without_it(self, spec):
+        spec = resolve_model_spec(spec)
+        rng = np.random.default_rng(17)
+        net = Network.build(spec, rng=rng)
+        c, size = spec["input"]["channels"], spec["input"]["size"]
+        x = rng.standard_normal((3, c, size, size)).astype(np.float32)
+        labels = rng.integers(0, spec["num_classes"], size=3)
+        extras = {name: 0.01 * (i + 1) for i, (name, _) in enumerate(net.cac_layers())}
+
+        def grads(backward):
+            net.zero_grads()
+            logits = net.forward(x, train=True)
+            _, probs = net.head.loss(logits, labels)
+            out = backward(net, net.head.grad(probs, labels), extras)
+            return out, {name: layer.grads[p].tobytes()
+                         for name, layer, p, _ in net.named_params()}
+
+        dx, full = grads(backward_with_input_grad)
+        assert dx.shape == x.shape
+        none, skipped = grads(Network.backward)
+        assert none is None
+        assert skipped == full
+
+    @pytest.mark.parametrize("kind", ["conv", "cac_conv"])
+    def test_layer_backward_without_input_grad(self, kind):
+        rng = np.random.default_rng(18)
+        layer = (CacConv2d if kind == "cac_conv" else Conv2d)(2, 3, 3, rng=rng)
+        x = rng.standard_normal((2, 2, 6, 6)).astype(np.float32)
+        dy = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
+        layer.forward(x, train=True)
+        assert layer.backward(dy).shape == x.shape
+        full = {p: g.tobytes() for p, g in layer.grads.items()}
+        assert layer.backward(dy, input_grad=False) is None
+        assert {p: g.tobytes() for p, g in layer.grads.items()} == full
+
+
+def per_sample_rho(parts):
+    """Each partition's own rho_soft and rho_hard, averaged."""
+    return (float(np.mean([p.rho_soft for p in parts])),
+            float(np.mean([p.rho_hard for p in parts])))
+
+
+class TestRho:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 3, 7, 65])
+    def test_equals_per_sample_formula(self, dtype, batch):
+        rng = np.random.default_rng(batch)
+        score = rng.random((batch, 1, 9, 9)).astype(dtype)
+        score[rng.random(score.shape) < 0.25] = 0.5
+        mask = score > 0.5
+        layer = CacConv2d(1, 1, 3, rng=rng)
+        layer.last_partitions = [
+            WindowPartition(gradient=np.zeros_like(score[b, 0]), score=score[b, 0],
+                            sharp_mask=mask[b, 0])
+            for b in range(batch)
+        ]
+        assert (layer.rho_soft(), layer.rho_hard()) == per_sample_rho(layer.last_partitions)
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_scores_of_exactly_half(self, train):
+        # gamma = 0 puts every score at sigmoid(0) = 0.5: all smooth.
+        rng = np.random.default_rng(19)
+        layer = CacConv2d(2, 3, 3, rng=rng)
+        layer.gate_gamma[0] = 0.0
+        layer.forward(rng.standard_normal((5, 2, 7, 7)).astype(np.float32), train=train)
+        assert (layer.rho_soft(), layer.rho_hard()) == (0.5, 0.0)
+        assert per_sample_rho(layer.last_partitions) == (0.5, 0.0)
+
+    def test_before_any_forward_rejected(self):
+        with pytest.raises(InvalidArgument, match="no gated forward"):
+            CacConv2d(1, 1, 3, rng=np.random.default_rng(20)).rho_soft()

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from cacconv import DataFormatError, InvalidArgument, NumericFailure, finite_diff_grad, madds_cac, model_cost
+from cacconv import cac as cac_module
+from cacconv import tensor as tensor_module
 from cacconv.cli import RunConfig
 from cacconv.data import synth_dataset
 from cacconv.layers import Linear, Network
@@ -174,6 +176,33 @@ class TestForwardBackward:
         num = finite_diff_grad(f, np.array([b0]), eps=1e-5)[0]
         cac.gate_beta[0] = b0
         assert abs(got - num) <= 1e-3 * max(abs(num), 1e-10)
+
+    def test_step_computes_no_input_gradient_of_the_network(self, monkeypatch):
+        # Sobel's adjoint and col2im serve only input gradients.  With one
+        # gated layer (center mode) a training step needs neither.
+        calls = []
+
+        def record(module, name):
+            fn = getattr(module, name)
+
+            def recorded(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recorded)
+
+        record(cac_module, "sobel_gradient_backward")
+        record(cac_module, "col2im_batch")
+        record(tensor_module, "col2im_batch")
+        rng = np.random.default_rng(3)
+        net = Network.build(TINY, rng=rng)
+        x = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)
+        forward_backward(net, x, np.array([0, 1, 1, 0]), lam=0.3)
+        assert calls == []
+        # The recorders do see the layer's input gradient.
+        dx = net.layers[0].backward(rng.standard_normal((4, 4, 8, 8)).astype(np.float32))
+        assert dx.shape == x.shape
+        assert sorted(calls) == ["col2im_batch", "sobel_gradient_backward"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_loss_attributed(self):
