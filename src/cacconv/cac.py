@@ -35,10 +35,14 @@ from .tensor import (
 
 PBAR_MODES = ("center", "mean")
 
-# Columns per tile of the hard path's tap loops, so that a tile's
-# accumulator and product buffer stay in cache.  At the cac_small layer
-# shapes (float32, batch 64) 4096 ran the loops up to 2x faster than no
-# tiling, while 1024 and 2048 ran 2-4x slower than no tiling.
+# Columns per tile of the hard path's tap loops; the all-sharp branch
+# also builds and sums its columns in chunks of at most this many.  Below
+# 4096 columns numpy's broadcast multiply costs about 4x more per element
+# (0.65-1.0 ns at 512-2048 columns against 0.15 at 4096, float32, 2-vCPU
+# x86 host).  Over the full all-sharp column matrix of the cac_small
+# layers 00 / 04 / 08 at batch 64, the tiled loop ran 42-59 / 97 / 92 ms
+# at 1024 columns, 10-11 / 21 / 25 ms at 4096 and 10-11 / 27-29 / 25-26
+# ms at 8192 (best of 5).  So tiles and chunks stay at 4096 columns.
 TAP_TILE = 4096
 
 # Separable Sobel taps: derivative along one axis, smoothing along the other.
@@ -354,12 +358,26 @@ def _route(x, w, score, mask, params):
     needs no window index.  The sharp windows' gathered columns then run
     the k x k taps, and those results overwrite their columns: one
     scatter, of sharp columns only.  The 1 x 1 work thrown away on a
-    sharp window is at most 1/k^2 of its k x k work.  When every window
-    is sharp, the full column matrix runs the k x k taps and nothing is
-    scattered."""
+    sharp window is at most 1/k^2 of its k x k work.
+
+    When every window is sharp, nothing is scattered: the k x k taps run
+    over the full column matrix, built and summed one chunk of whole
+    images at a time.  Each chunk's sums land in a contiguous buffer and
+    are then copied into their columns of the output: accumulating in
+    place into a (c_out, N n^2) output, whose row stride is a power of two
+    at the cac_small shapes, was slower.  No window reads across an
+    image's edge, so a chunk's columns are exactly the full matrix's
+    columns for its windows."""
     sharp = np.flatnonzero(mask.reshape(-1))
     if sharp.size == mask.size:
-        return _tap_loop(kernel_matrix(w), im2col_batch(x, params.k)), None
+        n_batch, n2 = x.shape[0], x.shape[2] * x.shape[3]
+        wmat = kernel_matrix(w)
+        y = np.empty((params.c_out, n_batch * n2), dtype=x.dtype)
+        step = max(1, TAP_TILE // n2)
+        for b0 in range(0, n_batch, step):
+            b1 = min(b0 + step, n_batch)
+            y[:, b0 * n2:b1 * n2] = _tap_loop(wmat, im2col_batch(x[b0:b1], params.k))
+        return y, None
     y = _tap_loop(aggregate_kernel(w), _pbar_map(x, params))
     y_sharp = _tap_loop(kernel_matrix(w), im2col_batch(x, params.k, sharp))
     # Row by row: a 1-d scatter is 3-4x faster than y[:, sharp] = ...
@@ -399,7 +417,9 @@ def cac_forward_hard(
 
     Only the sharp windows' columns are gathered (``im2col_batch`` with
     window indices) and run the k x k kernel, so its work follows the
-    sharp fraction; the cheap 1 x 1 kernel runs on every window.  The two
+    sharp fraction; the cheap 1 x 1 kernel runs on every window.  When
+    every window is sharp, the 1 x 1 kernel is skipped and the columns
+    are built one chunk of whole images at a time instead.  The two
     branch accumulations walk taps in the fixed order (input channel,
     kernel row, kernel column), one vectorized step per tap, so every
     output scalar is produced by the same floating-point sequence as the

@@ -32,7 +32,7 @@ class OptimizerConfig:
     momentum: float = 0.9
     weight_decay: float = 1e-4
     nesterov: bool = True
-    decay_epochs: list[int] | None = None   # None: floor(0.6 E), floor(0.8 E)
+    decay_epochs: list[int] | None = None   # None: floor(0.6 E), floor(0.8 E), those > 0
     decay_factor: float = 0.1
 
     def __post_init__(self):
@@ -42,9 +42,12 @@ class OptimizerConfig:
         require(self.decay_factor > 0, f"decay_factor must be positive, got {self.decay_factor}")
 
     def schedule(self, epochs: int) -> list:
+        """Epochs at which the lr is multiplied by ``decay_factor``.  A
+        default milestone that lands on epoch 0 is dropped, so that a short
+        run does not train from its first epoch at a decayed lr."""
         if self.decay_epochs is not None:
             return list(self.decay_epochs)
-        return [int(epochs * 0.6), int(epochs * 0.8)]
+        return [e for e in (int(epochs * 0.6), int(epochs * 0.8)) if e > 0]
 
     def lr_at(self, epoch: int, epochs: int) -> float:
         lr = self.lr

@@ -175,18 +175,29 @@ class TestHardForward:
                 assert np.array_equal(a.sharp_mask, b.sharp_mask)
                 assert np.array_equal(a.score, b.score)
 
-    @pytest.mark.parametrize("tile", [1, 5, 64])
-    def test_bit_for_bit_across_column_tiles(self, monkeypatch, tile):
+    @pytest.mark.parametrize("gate, tile", [
+        *(pytest.param("median", tile, id=str(tile)) for tile in (1, 5, 64)),
+        # All sharp: chunks of max(1, tile // 81) whole images.  64 gives
+        # one-image chunks with a tile edge inside each image, 162 two-image
+        # chunks and a partial last one, 4096 a single chunk.
+        *(pytest.param("all_sharp", tile, id=f"all_sharp-{tile}") for tile in (64, 162, 4096)),
+    ])
+    def test_bit_for_bit_across_column_tiles(self, monkeypatch, gate, tile):
         # The tap loops run in column tiles; a tile smaller than either
         # branch's column count puts tile edges inside both branches.
         monkeypatch.setattr(cac_module, "TAP_TILE", tile)
         rng = np.random.default_rng(14)
-        x = rng.standard_normal((2, 3, 9, 9)).astype(np.float32)
+        x = rng.standard_normal((5, 3, 9, 9)).astype(np.float32)
         grad = sobel_gradient(channel_mean(x))
-        params = small_params(rng, 3, 4, gamma=1.0, beta=-float(np.median(grad)))
+        beta = -float(np.median(grad)) if gate == "median" else 10.0
+        params = small_params(rng, 3, 4, gamma=1.0, beta=beta)
         y_fast, parts = cac_forward_hard(x, params)
         y_ref, _ = cac_forward_naive(x, params)
-        assert 0 < sum(p.sharp_count for p in parts) < x.shape[0] * 81
+        sharp = sum(p.sharp_count for p in parts)
+        if gate == "median":
+            assert 0 < sharp < x.shape[0] * 81
+        else:
+            assert sharp == x.shape[0] * 81
         assert np.array_equal(y_fast, y_ref)
 
     @pytest.mark.parametrize("pbar_mode", ["center", "mean"])

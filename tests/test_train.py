@@ -95,6 +95,16 @@ class TestSgd:
         assert lrs[12] == pytest.approx(0.005)
         assert lrs[16] == pytest.approx(0.0005)
 
+    def test_lr_schedule_drops_default_decays_at_epoch_0(self):
+        # E = 1: both default milestones floor to epoch 0, and are dropped.
+        # E = 2: both land on epoch 1 and stack there.  An explicit list
+        # is used as given.
+        cfg = OptimizerConfig(lr=0.05)
+        assert cfg.lr_at(0, 1) == 0.05
+        assert [cfg.lr_at(e, 2) for e in range(2)] == [0.05, pytest.approx(0.0005)]
+        explicit = OptimizerConfig(lr=0.05, decay_epochs=[0])
+        assert explicit.lr_at(0, 1) == pytest.approx(0.005)
+
 
 class TestWeightedProductLoss:
     def test_lambda_zero(self):
@@ -274,6 +284,11 @@ class TestTrainLoop:
         assert ckpt.exists()
         tensors = load_checkpoint(ckpt)
         assert all(np.isfinite(v).all() for v in tensors.values())
+
+    def test_one_epoch_run_trains_at_the_configured_lr(self, tmp_path):
+        _, result = run_tiny(tmp_path, epochs=1)
+        with open(result.metrics_path) as f:
+            assert json.loads(f.readline())["lr"] == 0.05
 
     def test_penalty_warmup_defers_cost_pressure(self, tmp_path):
         _, result = run_tiny(tmp_path, epochs=2, penalty_warmup_epochs=1)
