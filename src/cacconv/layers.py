@@ -339,12 +339,21 @@ class Linear(Layer):
         return dy @ self.weight.T
 
 
+def require_labels(labels, classes: int) -> None:
+    """Every label must index one of the model's ``classes`` outputs."""
+    bad = labels[(labels < 0) | (labels >= classes)]
+    if bad.size:
+        raise InvalidArgument(
+            f"label {int(bad[0])} is outside the model's {classes} classes [0, {classes})")
+
+
 class SoftmaxCrossEntropy:
     """Classification head: mean cross-entropy over the batch."""
 
     def loss(self, logits, labels):
         require(logits.ndim == 2, f"expected (N, classes) logits, got {logits.shape}")
         require(labels.shape == (logits.shape[0],), "labels must be (N,)")
+        require_labels(labels, logits.shape[1])
         z = logits - logits.max(axis=1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         ell = float(-logp[np.arange(len(labels)), labels].mean())

@@ -22,7 +22,7 @@ from .cost import cost_penalty, madds_cac, madds_standard, model_cost
 from .data import augment_batch
 from .errors import DataFormatError, NumericFailure
 from .ioutil import atomic_write_bytes, atomic_write_text
-from .layers import Network, resolve_model_spec
+from .layers import Network, require_labels, resolve_model_spec
 from .tensor import require
 
 
@@ -95,8 +95,6 @@ def sgd_step(net: Network, state: OptimizerState, lr: float) -> None:
 def weighted_product_loss(ell: float, cost_ratio: float, lam: float):
     """L = ell * cost_ratio**lam, with its partials in ell and the ratio."""
     require(ell >= 0, f"task loss must be non-negative, got {ell}")
-    require(cost_ratio > 0, f"cost ratio must be positive, got {cost_ratio}")
-    require(lam >= 0, f"lambda must be non-negative, got {lam}")
     factor, dfactor = cost_penalty(cost_ratio, lam)
     return ell * factor, factor, ell * dfactor
 
@@ -113,15 +111,15 @@ class StepResult:
     batch_size: int
 
 
-def forward_backward(
-    net: Network, images, labels, lam: float, *, penalty: bool = True
-) -> StepResult:
+def forward_backward(net: Network, images, labels, lam: float) -> StepResult:
     """Forward pass, objective, and full reverse pass (grads left on layers).
 
-    The penalty path enters backward in two places: the task gradient is
-    scaled by the factor ratio**lam, and each gate's score map receives
-    the extra term  ell * d(factor)/d(ratio) * d(ratio)/d(M_i), which is
-    constant per layer because the batch-mean soft rho is linear in M.
+    ``lam`` is the effective lambda; 0 switches the penalty off exactly,
+    as ``train_model`` does during its warm-up epochs.  The penalty path
+    enters backward in two places: the task gradient is scaled by the
+    factor ratio**lam, and each gate's score map receives the extra term
+    ell * d(factor)/d(ratio) * d(ratio)/d(M_i), which is constant per
+    layer because the batch-mean soft rho is linear in M.
     """
     logits = net.forward(images, train=True)
     ell, probs = net.head.loss(logits, labels)
@@ -140,12 +138,11 @@ def forward_backward(
         specs, [rho_hard.get(s.layer_id, 1.0) for s in specs]
     )
 
-    lam_eff = lam if penalty else 0.0
-    objective, factor, dl_dratio = weighted_product_loss(ell, ratio_soft, lam_eff)
+    objective, factor, dl_dratio = weighted_product_loss(ell, ratio_soft, lam)
 
     dlogits = net.head.grad(probs, labels) * factor
     extras = None
-    if lam_eff > 0:
+    if lam > 0:
         c_b = float(report.c_baseline)
         extras = {}
         for name, layer in cac:
@@ -206,6 +203,7 @@ def evaluate(net: Network, images, labels, batch_size: int = 256) -> EvalResult:
         xb = images[start:start + batch_size]
         yb = labels[start:start + batch_size]
         logits = net.forward(xb, train=False)
+        require_labels(yb, logits.shape[1])
         errors += int((logits.argmax(axis=1) != yb).sum())
         b = len(yb)
         costs = np.full(b, float(static), dtype=np.float64)
@@ -331,7 +329,6 @@ def load_checkpoint(path) -> dict:
 class TrainResult:
     net: Network
     metrics: list
-    step_losses: list
     checkpoint_path: str
     metrics_path: str
 
@@ -339,6 +336,16 @@ class TrainResult:
 def _iter_batches(n: int, batch_size: int, rng) -> list:
     order = rng.permutation(n)
     return [order[s:s + batch_size] for s in range(0, n, batch_size)]
+
+
+def _epoch_mean(steps: list, value) -> float:
+    """Batch-size-weighted mean of ``value(step)``, summed from 0.0 in step
+    order (``sum()`` of floats is compensated from Python 3.12 on)."""
+    total, count = 0.0, 0
+    for step in steps:
+        total += value(step) * step.batch_size
+        count += step.batch_size
+    return total / count
 
 
 def train_model(cfg, train_images, train_labels, test_images=None, test_labels=None,
@@ -367,54 +374,39 @@ def train_model(cfg, train_images, train_labels, test_images=None, test_labels=N
     batch_rng = np.random.default_rng(cfg.seed + 1)
     aug_rng = np.random.default_rng(cfg.seed + 2)
     metrics = []
-    step_losses = []
     n = len(train_labels)
     require(n >= 1, "training set is empty")
 
     for epoch in range(cfg.epochs):
         lr = opt.config.lr_at(epoch, cfg.epochs)
-        penalty = epoch >= cfg.penalty_warmup_epochs
-        sums = {"ell": 0.0, "objective": 0.0, "top1": 0.0,
-                "ratio_soft": 0.0, "ratio_hard": 0.0, "count": 0}
-        rho_soft_sums, rho_hard_sums = {}, {}
+        lam = cfg.lam if epoch >= cfg.penalty_warmup_epochs else 0.0
+        steps = []
         for idx in _iter_batches(n, cfg.batch_size, batch_rng):
             xb = train_images[idx]
             yb = train_labels[idx]
             if cfg.augment:
                 xb = augment_batch(xb, aug_rng)
             net.zero_grads()
-            step = forward_backward(net, xb, yb, cfg.lam, penalty=penalty)
+            steps.append(forward_backward(net, xb, yb, lam))
             sgd_step(net, opt, lr)
-            step_losses.append(step.ell)
-            w = step.batch_size
-            sums["ell"] += step.ell * w
-            sums["objective"] += step.objective * w
-            sums["top1"] += step.top1_error * w
-            sums["ratio_soft"] += step.cost_ratio_soft * w
-            sums["ratio_hard"] += step.cost_ratio_hard * w
-            sums["count"] += w
-            for key, val in step.rho_soft.items():
-                rho_soft_sums[key] = rho_soft_sums.get(key, 0.0) + val * w
-            for key, val in step.rho_hard.items():
-                rho_hard_sums[key] = rho_hard_sums.get(key, 0.0) + val * w
 
-        count = sums["count"]
-        ell_mean = sums["ell"] / count
-        ratio_soft_mean = sums["ratio_soft"] / count
-        lam_eff = cfg.lam if penalty else 0.0
+        ell = _epoch_mean(steps, lambda s: s.ell)
+        ratio_soft = _epoch_mean(steps, lambda s: s.cost_ratio_soft)
         entry = {
             "epoch": epoch,
             "lr": lr,
-            "ell": ell_mean,
-            "cost_ratio_soft": ratio_soft_mean,
-            "cost_ratio_hard": sums["ratio_hard"] / count,
+            "ell": ell,
+            "cost_ratio_soft": ratio_soft,
+            "cost_ratio_hard": _epoch_mean(steps, lambda s: s.cost_ratio_hard),
             # Epoch objective recomputed from the epoch-mean quantities so
             # the logged triple satisfies L = ell * ratio**lambda exactly.
-            "L": ell_mean * ratio_soft_mean ** lam_eff,
-            "lambda": lam_eff,
-            "top1_error": sums["top1"] / count,
-            "rho_soft": {k: v / count for k, v in rho_soft_sums.items()},
-            "rho_hard": {k: v / count for k, v in rho_hard_sums.items()},
+            "L": ell * ratio_soft ** lam,
+            "lambda": lam,
+            "top1_error": _epoch_mean(steps, lambda s: s.top1_error),
+            "rho_soft": {k: _epoch_mean(steps, lambda s: s.rho_soft[k])
+                         for k in steps[0].rho_soft},
+            "rho_hard": {k: _epoch_mean(steps, lambda s: s.rho_hard[k])
+                         for k in steps[0].rho_hard},
         }
         if (test_labels is not None and cfg.eval_every
                 and (epoch + 1) % cfg.eval_every == 0):
@@ -430,7 +422,5 @@ def train_model(cfg, train_images, train_labels, test_images=None, test_labels=N
             print(f"epoch {epoch}: ell={entry['ell']:.4f} "
                   f"ratio_hard={entry['cost_ratio_hard']:.4f}")
 
-    return TrainResult(
-        net=net, metrics=metrics, step_losses=step_losses,
-        checkpoint_path=ckpt_path, metrics_path=metrics_path,
-    )
+    return TrainResult(net=net, metrics=metrics,
+                       checkpoint_path=ckpt_path, metrics_path=metrics_path)

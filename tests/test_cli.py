@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -227,6 +228,43 @@ class TestEndToEnd:
         ckpt.write_bytes(b"CAC1")
         assert main(["eval", "--model", str(ckpt), "--data", "synthetic"]) == 1
         assert "--model-spec" in capsys.readouterr().err
+
+
+class TestLabelsOutsideTheModel:
+    """``cac_tiny_synth`` has 2 classes; a ten-class CIFAR-format
+    directory holds labels it cannot output."""
+
+    @pytest.fixture
+    def cifar(self, tmp_path):
+        rng = np.random.default_rng(0)
+        d = tmp_path / "cifar"
+        d.mkdir()
+        for name in ("data_batch_1.bin", "test_batch.bin"):
+            write_cifar10_batch(d / name, rng.integers(0, 256, (16, 3, 32, 32), np.uint8),
+                                np.arange(16) % 10)
+        return d
+
+    def assert_clean_failure(self, code, err):
+        assert code == 1, err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, err
+        assert re.fullmatch(r"error: label [2-9] is outside the model's 2 classes \[0, 2\)",
+                            errors[0])
+        assert "Traceback" not in err
+
+    def test_train(self, tmp_path, cifar, capsys):
+        cfg_path = write_tiny_config(
+            tmp_path, epochs=1, batch_size=16, dataset={"kind": "cifar10", "path": str(cifar)})
+        code = main(["train", "--config", str(cfg_path), "--quiet"])
+        self.assert_clean_failure(code, capsys.readouterr().err)
+
+    def test_eval(self, tmp_path, cifar, capsys):
+        spec = resolve_model_spec("cac_tiny_synth")
+        net = Network.build(spec, rng=np.random.default_rng(0))
+        save_checkpoint(tmp_path / "model.ckpt", net.state_dict())
+        (tmp_path / "model.json").write_text(json.dumps({"model": spec}))
+        code = main(["eval", "--model", str(tmp_path / "model.ckpt"), "--data", str(cifar)])
+        self.assert_clean_failure(code, capsys.readouterr().err)
 
 
 def run_cli(*args):

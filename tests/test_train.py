@@ -9,6 +9,7 @@ import pytest
 from cacconv import DataFormatError, InvalidArgument, NumericFailure, finite_diff_grad, madds_cac, model_cost
 from cacconv import cac as cac_module
 from cacconv import tensor as tensor_module
+from cacconv import train as train_module
 from cacconv.cli import RunConfig
 from cacconv.data import synth_dataset
 from cacconv.layers import Linear, Network
@@ -294,6 +295,58 @@ class TestTrainLoop:
         _, result = run_tiny(tmp_path, epochs=2, penalty_warmup_epochs=1)
         assert result.metrics[0]["lambda"] == 0.0
         assert result.metrics[1]["lambda"] == 0.4
+
+    def test_epoch_means_match_the_step_by_step_accumulation(self, tmp_path, monkeypatch):
+        calls = []
+
+        def recorded(net, images, labels, lam):
+            step = forward_backward(net, images, labels, lam)
+            calls.append((lam, step))
+            return step
+
+        monkeypatch.setattr(train_module, "forward_backward", recorded)
+        cfg = tiny_cfg(tmp_path, batch_size=24, penalty_warmup_epochs=1)
+        train = synth_dataset("smooth_vs_textured", 64, 0)
+        result = train_model(cfg, train.images, train.labels)
+        with open(result.metrics_path) as f:
+            entries = [json.loads(line) for line in f]
+
+        # 64 images at batch 24: each epoch's last batch is partial.
+        assert [step.batch_size for _, step in calls] == [24, 24, 16] * 3
+        assert [lam for lam, _ in calls] == [0.0] * 3 + [0.4] * 6
+        assert len(entries) == 3
+        for epoch, entry in enumerate(entries):
+            steps = [step for _, step in calls[3 * epoch:3 * epoch + 3]]
+            lam = calls[3 * epoch][0]
+            # Running weighted sums from 0.0 in step order, one per field.
+            sums = {"ell": 0.0, "top1": 0.0, "ratio_soft": 0.0, "ratio_hard": 0.0, "count": 0}
+            rho_soft_sums, rho_hard_sums = {}, {}
+            for step in steps:
+                w = step.batch_size
+                sums["ell"] += step.ell * w
+                sums["top1"] += step.top1_error * w
+                sums["ratio_soft"] += step.cost_ratio_soft * w
+                sums["ratio_hard"] += step.cost_ratio_hard * w
+                sums["count"] += w
+                for key, val in step.rho_soft.items():
+                    rho_soft_sums[key] = rho_soft_sums.get(key, 0.0) + val * w
+                for key, val in step.rho_hard.items():
+                    rho_hard_sums[key] = rho_hard_sums.get(key, 0.0) + val * w
+            count = sums["count"]
+            ell = sums["ell"] / count
+            ratio_soft = sums["ratio_soft"] / count
+            assert entry == {
+                "epoch": epoch,
+                "lr": cfg.optimizer.lr_at(epoch, cfg.epochs),
+                "ell": ell,
+                "cost_ratio_soft": ratio_soft,
+                "cost_ratio_hard": sums["ratio_hard"] / count,
+                "L": ell * ratio_soft ** lam,
+                "lambda": lam,
+                "top1_error": sums["top1"] / count,
+                "rho_soft": {k: v / count for k, v in rho_soft_sums.items()},
+                "rho_hard": {k: v / count for k, v in rho_hard_sums.items()},
+            }
 
 
 class TestEvaluate:
