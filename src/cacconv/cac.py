@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -110,18 +109,6 @@ class WindowPartition:
     @property
     def sharp_count(self) -> int:
         return int(self.sharp_mask.sum())
-
-    @property
-    def rho_hard(self) -> float:
-        return self.sharp_count / self.total_windows
-
-    @property
-    def rho_hard_exact(self) -> Fraction:
-        return Fraction(self.sharp_count, self.total_windows)
-
-    @property
-    def rho_soft(self) -> float:
-        return float(self.score.mean())
 
     def to_csv(self) -> str:
         """Flattened score map as ``index,G,M,sharp`` rows."""
@@ -233,24 +220,20 @@ def score_map(grad: np.ndarray, gamma: float, beta: float) -> np.ndarray:
     return sigmoid(grad * gamma + beta)
 
 
-def partition(score: np.ndarray) -> tuple[np.ndarray, float]:
-    """Split windows on score > 0.5 (strict; exact ties count as smooth).
-
-    Returns the boolean sharp mask and the sharp fraction."""
+def partition(score: np.ndarray) -> np.ndarray:
+    """Boolean sharp mask: score > 0.5 (strict; exact ties count as smooth)."""
     score = np.asarray(score)
     require(
         bool((score >= 0).all() and (score <= 1).all()),
         "scores must lie in [0, 1]",
     )
-    mask = score > 0.5
-    return mask, float(mask.sum() / mask.size)
+    return score > 0.5
 
 
 @dataclass
 class SoftCache:
     """Everything the soft forward must retain for its backward pass."""
 
-    x: np.ndarray
     cols: np.ndarray          # (k^2 c_in, N n^2)
     pbar: np.ndarray          # (c_in, N n^2)
     gx: np.ndarray
@@ -322,13 +305,13 @@ def _gated_forward(x: np.ndarray, params: CacConvParams, mix):
     check_finite(x, "input")
     w = params.weight.astype(x.dtype, copy=False)
     grad, gx, gy, score = _gate_maps(x, params)
-    mask, _ = partition(score)
+    mask = partition(score)
     y, saved = mix(x, w, score, mask, params)
     if params.bias is not None:
         y += params.bias.astype(x.dtype, copy=False)[:, None]
     out = np.ascontiguousarray(y.reshape(params.c_out, n_batch, n, n).transpose(1, 0, 2, 3))
     cache = None if saved is None else SoftCache(
-        x=x, gx=gx, gy=gy, grad=grad, score=score, params=params, **saved)
+        gx=gx, gy=gy, grad=grad, score=score, params=params, **saved)
     return out, _partitions_per_sample(grad, score, mask), cache
 
 
@@ -473,8 +456,8 @@ def cac_backward(
     mean, the Sobel maps, and the gate.
     """
     params = cache.params
-    x = cache.x
-    n_batch, c_in, n = x.shape[0], x.shape[1], x.shape[2]
+    n_batch, c_in, n = cache.grad.shape[0], params.c_in, cache.grad.shape[2]
+    dtype = cache.cols.dtype
     require(
         dy.shape == (n_batch, params.c_out, n, n),
         f"dy shape {dy.shape} does not match forward output "
@@ -485,7 +468,7 @@ def cac_backward(
     score = cache.score
     m_flat = score.reshape(-1, 1)
     dyf = dy.transpose(0, 2, 3, 1).reshape(-1, params.c_out)
-    w = params.weight.astype(x.dtype, copy=False)
+    w = params.weight.astype(dtype, copy=False)
 
     dbias = dyf.sum(axis=0) if params.bias is not None else None
 
@@ -507,7 +490,7 @@ def cac_backward(
 
     dx = None
     if input_grad:
-        dgrad = np.asarray(params.gamma * dz, dtype=x.dtype)
+        dgrad = np.asarray(params.gamma * dz, dtype=dtype)
         dxbar = sobel_gradient_backward(dgrad, cache.gx, cache.gy, cache.grad)
         # Sharp branch, then dxbar / c_in for every channel, added by
         # broadcast in dxbar's dtype: the bits of np.repeat(dxbar / c_in,

@@ -169,7 +169,12 @@ def load_model(ckpt_path, model_spec_path=None) -> Network:
 
 def _eval_dataset(args) -> Dataset:
     if args.data == "synthetic":
-        ds = synth_dataset(args.synth_kind, args.synth_n, args.synth_seed)
+        # The test split is drawn from the next seed, as in load_datasets;
+        # the seed is checked first, since -1 + 1 would pass.
+        require(args.synth_seed >= 0,
+                f"synthetic seed must be non-negative, got {args.synth_seed}")
+        seed = args.synth_seed + (args.split == "test")
+        ds = synth_dataset(args.synth_kind, args.synth_n, seed)
     else:
         train, test = load_cifar10(args.data)
         ds = train if args.split == "train" else test
@@ -275,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--synth-kind", default="smooth_vs_textured")
         sp.add_argument("--synth-n", type=int, default=512)
         sp.add_argument("--synth-seed", type=int, default=0)
-        sp.add_argument("--batch-size", type=int, default=256)
         sp.add_argument("--model-spec", default=None,
                         help="model.json path (default: next to the checkpoint)")
 
@@ -289,6 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--out", required=True, help="output CSV path")
     add_data_args(a)
     a.set_defaults(func=cmd_analyze)
+
+    for sp in (e, a):
+        sp.add_argument("--batch-size", type=int, default=256)
 
     x = sub.add_parser("export-ratios", help="write per-layer score-map CSVs")
     x.add_argument("--model", required=True)

@@ -81,9 +81,7 @@ def madds_cac(spec: LayerCostSpec, rho) -> CacCostBreakdown:
     """
     omega = madds_standard(spec)
     k2 = spec.k * spec.k
-    scoring = float(
-        Fraction(SCORING_MADDS_PER_WINDOW * omega, k2 * spec.c_in * spec.c_out)
-    )
+    scoring = float(SCORING_MADDS_PER_WINDOW * spec.n * spec.n)
     if isinstance(rho, Fraction) or isinstance(rho, int) and not isinstance(rho, bool):
         rho = Fraction(rho)
         require(0 <= rho <= 1, f"rho must lie in [0, 1], got {rho}")

@@ -22,7 +22,7 @@ from .cac import (
     cac_forward_soft,
 )
 from .cost import LayerCostSpec
-from .errors import InvalidArgument
+from .errors import InvalidArgument, NumericFailure
 from .tensor import (
     DEFAULT_DTYPE,
     _conv2d_input_grad,
@@ -164,15 +164,17 @@ class CacConv2d(Conv2d):
         require(parts is not None, "no gated forward recorded")
         return np.stack([getattr(p, field) for p in parts]).reshape(len(parts), -1)
 
-    # Both rhos are the float64 mean of the per-sample fractions, each
-    # taken as WindowPartition takes it: the same bits as averaging the
-    # partitions' own rho_soft and rho_hard, in two reductions.
+    def sharp_counts(self) -> np.ndarray:
+        """Sharp windows of each sample in the last forward: (N,) integers."""
+        return self._stacked("sharp_mask").sum(axis=1)
+
+    # Both rhos are the float64 mean of the per-sample fractions: each
+    # sample's mean score, and its sharp count over n^2.
     def rho_soft(self) -> float:
         return float(self._stacked("score").mean(axis=1).astype(np.float64).mean())
 
     def rho_hard(self) -> float:
-        sharp = self._stacked("sharp_mask")
-        return float((sharp.sum(axis=1) / sharp.shape[1]).mean())
+        return float((self.sharp_counts() / self.last_partitions[0].total_windows).mean())
 
 
 class BatchNorm2d(Layer):
@@ -538,7 +540,14 @@ class Network:
         )
         self._outputs = []
         for layer in self.layers:
-            x = layer.forward(x, train)
+            try:
+                x = layer.forward(x, train)
+            except NumericFailure as exc:
+                bad = self.first_nonfinite_layer()
+                if bad is None:
+                    raise
+                raise NumericFailure(
+                    f"{exc}: first non-finite activation at layer {bad}") from None
             self._outputs.append((layer.name, x))
         return x
 

@@ -210,13 +210,13 @@ def evaluate(net: Network, images, labels, batch_size: int = 256) -> EvalResult:
         for name, layer in cac:
             # Price each distinct sharp count once: the same exact
             # fraction gives the same float.
-            price = {}
-            for i, part in enumerate(layer.last_partitions):
-                sharp, windows = part.sharp_count, part.total_windows
-                if sharp not in price:
-                    price[sharp] = madds_cac(layer.cost_spec, Fraction(sharp, windows)).total
-                costs[i] += price[sharp]
-                per_rho[name][pos + i] = sharp / windows
+            counts = layer.sharp_counts()
+            windows = layer.cost_spec.n * layer.cost_spec.n
+            distinct, which = np.unique(counts, return_inverse=True)
+            prices = [madds_cac(layer.cost_spec, Fraction(int(c), windows)).total
+                      for c in distinct]
+            costs += np.array(prices)[which]
+            per_rho[name][pos:pos + b] = counts / windows
         per_sample[pos:pos + b] = costs
         pos += b
 

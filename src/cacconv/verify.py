@@ -10,6 +10,8 @@ tolerances.  A given seed and count always draw the same instances.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from .cac import CacConvParams, cac_backward, cac_forward_hard, cac_forward_soft
@@ -245,7 +247,7 @@ def check_cost_model(branch_instances, seed):
         counter = MaddsCounter()
         _, parts = cac_forward_naive(x, params, counter=counter)
         spec = LayerCostSpec("c", n=n, k=3, c_in=ci, c_out=co, cac=True)
-        bd = madds_cac(spec, parts[0].rho_hard_exact)
+        bd = madds_cac(spec, Fraction(parts[0].sharp_count, parts[0].total_windows))
         branch_exact = branch_exact and (bd.kxk + bd.one_by_one == counter.count)
 
     rho_bar = rho_upper_bound(LayerCostSpec("r", n=32, k=3, c_in=16, c_out=16, cac=True))

@@ -124,9 +124,7 @@ class TestScoreAndPartition:
 
     def test_partition_is_strict_at_half(self):
         m = np.array([[0.5, 0.5000001], [0.4999999, 1.0]], dtype=np.float64)
-        mask, rho = partition(m)
-        assert mask.tolist() == [[False, True], [False, True]]
-        assert rho == 0.5
+        assert partition(m).tolist() == [[False, True], [False, True]]
 
     def test_partition_range_validated(self):
         with pytest.raises(InvalidArgument):
@@ -138,7 +136,7 @@ class TestScoreAndPartition:
         m_lo = score_map(g, 1.0, -0.5)
         m_hi = score_map(g, 1.0, 0.5)
         assert (m_hi > m_lo).all()
-        assert partition(m_hi)[1] >= partition(m_lo)[1]
+        assert partition(m_hi).sum() >= partition(m_lo).sum()
         assert m_hi.mean() > m_lo.mean()
 
 
@@ -252,8 +250,8 @@ class TestHardForward:
         flat = np.zeros((1, 1, 6, 6), dtype=np.float32)
         noisy = rng.standard_normal((1, 1, 6, 6)).astype(np.float32) * 5
         y, parts = cac_forward_hard(np.concatenate([flat, noisy]), params)
-        assert parts[0].rho_hard == 0.0
-        assert parts[1].rho_hard > 0.5
+        assert parts[0].sharp_count == 0
+        assert parts[1].sharp_count > 0.5 * parts[1].total_windows
 
     def test_small_spatial_rejected(self):
         rng = np.random.default_rng(11)
@@ -269,8 +267,7 @@ class TestHardForward:
         p = parts[0]
         assert p.total_windows == 36
         assert p.sharp_count == int(p.sharp_mask.sum())
-        assert p.rho_hard == p.sharp_count / 36
-        assert 0.0 < p.rho_soft < 1.0
+        assert 0.0 < p.score.mean() < 1.0
 
 
 # Upper bound on the scalar multiply-adds one oracle call makes

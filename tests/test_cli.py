@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 import cacconv
 from cacconv import DataFormatError, InvalidArgument, NumericFailure, verify
 from cacconv.cli import RunConfig, load_config, load_model, main
-from cacconv.data import parse_cifar10_file, write_cifar10_batch
+from cacconv.data import parse_cifar10_file, synth_dataset, write_cifar10_batch
 from cacconv.layers import Network, model_presets, resolve_model_spec
-from cacconv.train import load_checkpoint, save_checkpoint
+from cacconv.train import evaluate, load_checkpoint, save_checkpoint
 
 
 def config_fields() -> list:
@@ -265,6 +265,37 @@ class TestLabelsOutsideTheModel:
         (tmp_path / "model.json").write_text(json.dumps({"model": spec}))
         code = main(["eval", "--model", str(tmp_path / "model.ckpt"), "--data", str(cifar)])
         self.assert_clean_failure(code, capsys.readouterr().err)
+
+
+class TestDataFlags:
+    """What ``eval``, ``analyze`` and ``export-ratios`` read from their flags."""
+
+    @pytest.fixture
+    def model(self, tmp_path):
+        spec = resolve_model_spec("cac_tiny_synth")
+        net = Network.build(spec, rng=np.random.default_rng(0))
+        save_checkpoint(tmp_path / "model.ckpt", net.state_dict())
+        (tmp_path / "model.json").write_text(json.dumps({"model": spec}))
+        return str(tmp_path / "model.ckpt")
+
+    def test_synthetic_splits_draw_from_seed_and_next_seed(self, model, capsys):
+        # As in a config's dataset block: train from synth_seed, test from
+        # synth_seed + 1.
+        got = {}
+        for split in ("train", "test"):
+            assert main(["eval", "--model", model, "--data", "synthetic", "--synth-n", "8",
+                         "--synth-seed", "5", "--split", split]) == 0
+            got[split] = json.loads(capsys.readouterr().out)
+        for split, seed in (("train", 5), ("test", 6)):
+            ds = synth_dataset("smooth_vs_textured", 8, seed)
+            assert got[split] == evaluate(load_model(model), ds.images, ds.labels).summary()
+        assert got["train"] != got["test"]
+
+    def test_export_ratios_takes_no_batch_size(self, model, tmp_path, capsys):
+        code = main(["export-ratios", "--model", model, "--data", "synthetic", "--synth-n", "8",
+                     "--image", "0", "--out", str(tmp_path / "ratios"), "--batch-size", "4"])
+        assert code == 2
+        assert "unrecognized arguments: --batch-size 4" in capsys.readouterr().err
 
 
 def run_cli(*args):

@@ -75,7 +75,7 @@ class TestMaddsCac:
             counter = MaddsCounter()
             _, parts = cac_forward_naive(x, params, counter=counter)
             s = spec(n=n, ci=ci, co=co)
-            bd = madds_cac(s, parts[0].rho_hard_exact)
+            bd = madds_cac(s, Fraction(parts[0].sharp_count, parts[0].total_windows))
             assert bd.kxk == int(bd.kxk) and bd.one_by_one == int(bd.one_by_one)
             assert counter.count == int(bd.kxk) + int(bd.one_by_one)
 

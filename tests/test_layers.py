@@ -452,9 +452,9 @@ class TestBottomInputGradient:
 
 
 def per_sample_rho(parts):
-    """Each partition's own rho_soft and rho_hard, averaged."""
-    return (float(np.mean([p.rho_soft for p in parts])),
-            float(np.mean([p.rho_hard for p in parts])))
+    """Each partition's own mean score and sharp fraction, averaged."""
+    return (float(np.mean([float(p.score.mean()) for p in parts])),
+            float(np.mean([p.sharp_count / p.total_windows for p in parts])))
 
 
 class TestRho:
@@ -472,6 +472,7 @@ class TestRho:
             for b in range(batch)
         ]
         assert (layer.rho_soft(), layer.rho_hard()) == per_sample_rho(layer.last_partitions)
+        assert layer.sharp_counts().tolist() == mask.reshape(batch, -1).sum(axis=1).tolist()
 
     @pytest.mark.parametrize("train", [True, False])
     def test_scores_of_exactly_half(self, train):

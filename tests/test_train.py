@@ -2,17 +2,21 @@ import json
 import math
 import os
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cacconv import DataFormatError, InvalidArgument, NumericFailure, finite_diff_grad, madds_cac, model_cost
+from cacconv import (
+    DataFormatError, InvalidArgument, NumericFailure, finite_diff_grad, madds_cac, madds_standard,
+    model_cost,
+)
 from cacconv import cac as cac_module
 from cacconv import tensor as tensor_module
 from cacconv import train as train_module
 from cacconv.cli import RunConfig
 from cacconv.data import synth_dataset
-from cacconv.layers import Linear, Network
+from cacconv.layers import Linear, Network, resolve_model_spec
 from cacconv.train import (
     OptimizerConfig,
     OptimizerState,
@@ -224,6 +228,23 @@ class TestForwardBackward:
         with pytest.raises(NumericFailure, match="00_cac_conv"):
             forward_backward(net, x, np.array([0, 1]), lam=0.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_nonfinite_activation_before_a_gate_attributed(self, mode):
+        # Layer 08's gate rejects the non-finite input that layer 04 made.
+        rng = np.random.default_rng(2)
+        net = Network.build(resolve_model_spec("cac_small"), rng=rng)
+        net.layers[4].weight[...] = np.inf
+        x = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
+        labels = np.array([0, 1])
+        message = ("^input contains non-finite values: "
+                   "first non-finite activation at layer 04_cac_conv$")
+        with pytest.raises(NumericFailure, match=message):
+            if mode == "train":
+                forward_backward(net, x, labels, lam=0.0)
+            else:
+                evaluate(net, x, labels)
+
 
 def tiny_cfg(tmp_path, **kw):
     base = {
@@ -390,6 +411,27 @@ class TestEvaluate:
         rhos = [res.per_sample_rho[s.layer_id] if s.cac else 1.0 for s in specs]
         report = model_cost(specs, rhos)
         assert res.madds_mean == pytest.approx(report.c_model, rel=1e-12)
+
+    def test_per_sample_figures_from_each_partition(self):
+        # Three gated layers with mixed routing, in batches of 7: each
+        # sample's MAdds add its layers' exact prices in layer order.
+        net = Network.build(resolve_model_spec("cac_small"), rng=np.random.default_rng(5))
+        for _, layer in net.cac_layers():
+            layer.gate_beta[0] = -0.5
+        ds = synth_dataset("smooth_vs_textured", 16, 5)
+        res = evaluate(net, ds.images, ds.labels, batch_size=7)
+        net.forward(ds.images, train=False)
+        static = sum(madds_standard(s) for s in net.cost_specs() if not s.cac)
+        want = np.full(16, float(static))
+        for name, layer in net.cac_layers():
+            parts = layer.last_partitions
+            assert 0 < sum(p.sharp_count for p in parts) < sum(p.total_windows for p in parts)
+            for i, p in enumerate(parts):
+                rho = Fraction(p.sharp_count, p.total_windows)
+                want[i] += madds_cac(layer.cost_spec, rho).total
+            assert res.per_sample_rho[name].tolist() == [
+                p.sharp_count / p.total_windows for p in parts]
+        assert res.per_sample_madds.tobytes() == want.tobytes()
 
 
 class TestCheckpoint:
