@@ -20,7 +20,7 @@ from .cost import model_cost
 from .data import Dataset, load_cifar10, synth_dataset
 from .errors import DataFormatError, InvalidArgument, NumericFailure
 from .ioutil import atomic_write_text
-from .layers import Network, resolve_model_spec  # noqa: F401  resolve_model_spec is re-exported
+from .layers import Network, resolve_model_spec  # noqa: F401  bench/workloads.py imports it from here
 from .tensor import require
 from .train import OptimizerConfig, evaluate, load_checkpoint, train_model
 
@@ -203,7 +203,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     net = load_model(args.model, args.model_spec)
     ds = _eval_dataset(args)
-    res = evaluate(net, ds.images, ds.labels, batch_size=args.batch_size)
+    res = evaluate(net, ds.images, ds.labels)
     print(json.dumps(res.summary(), indent=2))
     return 0
 
@@ -211,7 +211,7 @@ def cmd_eval(args) -> int:
 def cmd_analyze(args) -> int:
     net = load_model(args.model, args.model_spec)
     ds = _eval_dataset(args)
-    res = evaluate(net, ds.images, ds.labels, batch_size=args.batch_size)
+    res = evaluate(net, ds.images, ds.labels)
     specs = net.cost_specs()
     rhos = [res.per_sample_rho[s.layer_id] if s.cac else 1.0 for s in specs]
     report = model_cost(specs, rhos)
@@ -293,9 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--out", required=True, help="output CSV path")
     add_data_args(a)
     a.set_defaults(func=cmd_analyze)
-
-    for sp in (e, a):
-        sp.add_argument("--batch-size", type=int, default=256)
 
     x = sub.add_parser("export-ratios", help="write per-layer score-map CSVs")
     x.add_argument("--model", required=True)

@@ -28,6 +28,7 @@ from .tensor import (
     _conv2d_input_grad,
     _conv2d_weight_grad,
     _conv2d_with_cols,
+    check_finite,
     require,
 )
 
@@ -476,6 +477,8 @@ class Network:
             kind = desc.get("type")
             name = f"{idx:02d}_{kind}"
             try:
+                require(kind != "softmax_ce" or idx == len(spec["layers"]) - 1,
+                        "softmax_ce marks the head and must be the last layer")
                 layer, shape = Network._build_layer(desc, kind, shape, rng, dtype, name)
             except InvalidArgument as exc:
                 raise InvalidArgument(f"layer {idx} ({kind}): {exc}") from None
@@ -534,28 +537,25 @@ class Network:
         return None, shape  # softmax_ce
 
     def forward(self, x, train: bool):
+        """The logits of ``x``.  A layer's NumericFailure, or non-finite
+        logits, ends in a NumericFailure that names the first layer whose
+        output went non-finite."""
         require(
             x.ndim == 4 and x.shape[1:] == self.input_shape,
             f"input shape {x.shape[1:]} != model input {self.input_shape}",
         )
         self._outputs = []
-        for layer in self.layers:
-            try:
+        try:
+            for layer in self.layers:
                 x = layer.forward(x, train)
-            except NumericFailure as exc:
-                bad = self.first_nonfinite_layer()
-                if bad is None:
-                    raise
-                raise NumericFailure(
-                    f"{exc}: first non-finite activation at layer {bad}") from None
-            self._outputs.append((layer.name, x))
+                self._outputs.append((layer.name, x))
+            check_finite(x, "output")
+        except NumericFailure as exc:
+            bad = next((name for name, out in self._outputs if not np.isfinite(out).all()), None)
+            if bad is None:
+                raise
+            raise NumericFailure(f"{exc}: first non-finite activation at layer {bad}") from None
         return x
-
-    def first_nonfinite_layer(self):
-        for name, out in getattr(self, "_outputs", []):
-            if not np.isfinite(out).all():
-                return name
-        return None
 
     def backward(self, dlogits, score_extras=None):
         """Reverse pass from the loss gradient ``dlogits``: fills every

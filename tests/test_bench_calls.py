@@ -1,17 +1,19 @@
-"""The benchmark's calls into the package, run directly on a small net.
+"""The benchmark's calls into the package, run directly.
 
 ``bench/tracing.py`` counts each gated forward's routing from its
-``WindowPartition``s, and ``bench/checks.py`` checks the hard path and the
-soft backward against the oracle.  Only the ``slow`` smoke test
+``WindowPartition``s, ``bench/checks.py`` checks the hard path and the
+soft backward against the oracle, and ``bench/workloads.py`` sets up
+each workload and runs and checks its op.  Only the ``slow`` smoke test
 (``tests/test_bench_smoke.py``) runs ``bench/run.py``; this file runs
-those functions on ``cac_tiny_synth`` in the quick loop, so a package
-change that breaks them fails there too.
+those functions in the quick loop (the first two on ``cac_tiny_synth``),
+so a package change that breaks them fails there too.
 """
 
 import os
 import sys
 
 import numpy as np
+import pytest
 
 from cacconv.cac import cac_forward_hard, cac_forward_soft
 from cacconv.data import synth_dataset
@@ -23,6 +25,7 @@ sys.path.insert(0, BENCH)  # checks.py imports workloads.py as a top-level modul
 try:
     import checks
     import tracing
+    import workloads
 finally:
     sys.path.remove(BENCH)
 
@@ -80,3 +83,11 @@ def test_oracle_checks_pass():
     gated = {"00_cac_conv": x}
     assert checks.check_hard(net, gated, np.random.default_rng(0)) == []
     assert checks.check_backward(net, gated, np.random.default_rng(1)) == []
+
+
+@pytest.mark.parametrize("name", ["train_cifar10fmt", "eval_smooth", "eval_sharp"])
+def test_workload_runs_and_checks_its_op(name, tmp_path):
+    state = workloads.setup(name, 0, str(tmp_path))
+    assert workloads.check_op(state, workloads.run_op(state))
+    if name != "train_cifar10fmt":
+        assert workloads.rho_band_error(state) is None

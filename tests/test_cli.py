@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
 from pathlib import Path
 
@@ -267,6 +269,30 @@ class TestLabelsOutsideTheModel:
         self.assert_clean_failure(code, capsys.readouterr().err)
 
 
+class TestNonFiniteNets:
+    """A net whose logits go non-finite past its last gate, or that has no
+    gate, ends ``eval`` and ``analyze`` in one ``error:`` line naming the
+    first non-finite layer, and ``analyze`` writes nothing."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    @pytest.mark.parametrize("preset, depth", [("conv_small", 4), ("cac_small", 8)])
+    def test_fails_naming_the_layer(self, tmp_path, capsys, preset, depth, command):
+        spec = resolve_model_spec(preset)
+        net = Network.build(spec, rng=np.random.default_rng(0))
+        net.layers[depth].weight[...] = np.inf
+        save_checkpoint(tmp_path / "model.ckpt", net.state_dict())
+        (tmp_path / "model.json").write_text(json.dumps({"model": spec}))
+        out = ["--out", str(tmp_path / "cost.csv")] if command == "analyze" else []
+        code = main([command, "--model", str(tmp_path / "model.ckpt"), "--data", "synthetic",
+                     "--synth-n", "4", *out])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: output contains non-finite values: "
+            f"first non-finite activation at layer {net.layers[depth].name}"]
+        assert sorted(os.listdir(tmp_path)) == ["model.ckpt", "model.json"]
+
+
 class TestDataFlags:
     """What ``eval``, ``analyze`` and ``export-ratios`` read from their flags."""
 
@@ -292,10 +318,15 @@ class TestDataFlags:
         assert got["train"] != got["test"]
 
     def test_export_ratios_takes_no_batch_size(self, model, tmp_path, capsys):
-        code = main(["export-ratios", "--model", model, "--data", "synthetic", "--synth-n", "8",
-                     "--image", "0", "--out", str(tmp_path / "ratios"), "--batch-size", "4"])
-        assert code == 2
-        assert "unrecognized arguments: --batch-size 4" in capsys.readouterr().err
+        # Nor do eval and analyze: every command evaluates at one batch size.
+        for command, extra in (("export-ratios", ["--image", "0", "--out", str(tmp_path / "r")]),
+                               ("eval", []),
+                               ("analyze", ["--out", str(tmp_path / "cost.csv")])):
+            code = main([command, "--model", model, "--data", "synthetic", "--synth-n", "8",
+                         *extra, "--batch-size", "4"])
+            assert code == 2, command
+            assert "unrecognized arguments: --batch-size 4" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["model.ckpt", "model.json"]
 
 
 def run_cli(*args):
@@ -363,11 +394,13 @@ class TestMalformedInputs:
         self.assert_clean_failure(proc)
         assert "seed must be non-negative, got -1" in proc.stderr
 
-    @pytest.mark.parametrize("batch_size", ["0", "-3"])
-    def test_non_positive_eval_batch_size(self, tmp_path, batch_size):
-        proc = self.eval_untrained(tmp_path, "--batch-size", batch_size)
-        self.assert_clean_failure(proc)
-        assert "batch size must be >= 1" in proc.stderr
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_non_positive_eval_batch_size(self, batch_size):
+        # No command takes a batch size; evaluate's own check is reached directly.
+        net = Network.build(resolve_model_spec("cac_tiny_synth"), rng=np.random.default_rng(0))
+        ds = synth_dataset("smooth_vs_textured", 8, 0)
+        with pytest.raises(InvalidArgument, match=f"batch size must be >= 1, got {batch_size}"):
+            evaluate(net, ds.images, ds.labels, batch_size=batch_size)
 
     @pytest.mark.parametrize("subset", ["-2", "100000"])
     def test_out_of_range_eval_subset(self, tmp_path, subset):
@@ -480,6 +513,19 @@ class TestMalformedInputs:
         self.assert_clean_failure(proc)
         assert "error: layer 0" in proc.stderr
 
+    def test_softmax_ce_before_the_last_layer(self, tmp_path):
+        layers = [{"type": "conv", "out": 4, "k": 3}, {"type": "relu"},
+                  {"type": "global_avgpool"}, {"type": "linear", "out": 2}]
+        spec = {"input": {"channels": 3, "size": 32}, "num_classes": 2, "layers": layers}
+        # Tensor names that fit the spec below with its marker dropped, so
+        # that only the marker's position can fail it.
+        save_checkpoint(tmp_path / "model.ckpt",
+                        Network.build(spec, rng=np.random.default_rng(0)).state_dict())
+        layers[1] = {"type": "softmax_ce"}
+        proc = self.eval_with_spec(tmp_path, json.dumps({"model": spec}))
+        self.assert_clean_failure(proc)
+        assert "error: layer 1 (softmax_ce): " in proc.stderr
+
 
 # What cli.main turns into an ``error:`` line and exit 1.
 MAPPED_ERRORS = (InvalidArgument, DataFormatError, NumericFailure, OSError)
@@ -487,9 +533,10 @@ MAPPED_ERRORS = (InvalidArgument, DataFormatError, NumericFailure, OSError)
 FUZZ_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
 
-def checkpoint_fields(raw: bytes) -> list:
-    """(offset, width) of every u32 and u64 header field of a checkpoint."""
-    found = [(4, 4), (8, 4)]   # version, tensor count
+def checkpoint_layout(raw: bytes) -> tuple:
+    """(offset, width) of every u32 and u64 header field of a checkpoint,
+    and (offset, float count) of every non-empty tensor payload."""
+    found, payloads = [(4, 4), (8, 4)], []   # version, tensor count
     off = 12
     for _ in range(struct.unpack_from("<I", raw, 8)[0]):
         found.append((off, 4))   # name length
@@ -497,8 +544,11 @@ def checkpoint_fields(raw: bytes) -> list:
         rank = struct.unpack_from("<I", raw, off)[0]
         dims = struct.unpack_from(f"<{rank}Q", raw, off + 4)
         found += [(off, 4)] + [(off + 4 + 8 * d, 8) for d in range(rank)]
-        off += 4 + 8 * rank + 4 * math.prod(dims)
-    return found
+        off += 4 + 8 * rank
+        if math.prod(dims):
+            payloads.append((off, math.prod(dims)))
+        off += 4 * math.prod(dims)
+    return found, payloads
 
 
 @st.composite
@@ -515,11 +565,21 @@ def damaged(draw, raw: bytes) -> bytes:
 @st.composite
 def rewritten_field(draw, raw: bytes) -> bytes:
     """``raw`` with one header field set to a drawn integer."""
-    off, width = draw(st.sampled_from(checkpoint_fields(raw)))
+    off, width = draw(st.sampled_from(checkpoint_layout(raw)[0]))
     value = draw(st.sampled_from([0, 1, 2 ** 31, 2 ** 62, 2 ** 63, 2 ** 64 - 1])
                  | st.integers(0, 2 ** 64 - 1))
     out = bytearray(raw)
     out[off:off + width] = (value % 2 ** (8 * width)).to_bytes(width, "little")
+    return bytes(out)
+
+
+@st.composite
+def nonfinite_value(draw, raw: bytes) -> bytes:
+    """``raw`` with one tensor element set to inf, -inf or NaN."""
+    off, count = draw(st.sampled_from(checkpoint_layout(raw)[1]))
+    out = bytearray(raw)
+    struct.pack_into("<f", out, off + 4 * draw(st.integers(0, count - 1)),
+                     draw(st.sampled_from([math.inf, -math.inf, math.nan])))
     return bytes(out)
 
 
@@ -539,8 +599,9 @@ class TestReaderFuzz:
         (d / "model.json").write_text(json.dumps({"model": spec}, separators=(",", ":")))
         write_tiny_config(d)
         rng = np.random.default_rng(0)
+        # Labels the 2-class model can output, so that eval of it succeeds.
         write_cifar10_batch(d / "batch.bin", rng.integers(0, 256, (2, 3, 32, 32), np.uint8),
-                            np.array([3, 9]))
+                            np.array([1, 0]))
         return d
 
     @staticmethod
@@ -581,6 +642,40 @@ class TestReaderFuzz:
         path = files / "fuzzed_batch.bin"
         path.write_bytes(data.draw(damaged((files / "batch.bin").read_bytes())))
         self.check(parse_cifar10_file, path)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @FUZZ_SETTINGS
+    @given(data=st.data(), target=st.sampled_from(["model.ckpt", "model.json", "batch.bin"]))
+    def test_eval_command(self, files, data, target):
+        """``cacconv eval`` with one of its files damaged exits 0, or 1 with
+        one ``error:`` line; a weight made non-finite always ends in 1."""
+        inputs = {name: (files / name).read_bytes()
+                  for name in ("model.ckpt", "model.json", "batch.bin")}
+        mutations = damaged(inputs[target])
+        if target == "model.ckpt":
+            mutations |= rewritten_field(inputs[target]) | nonfinite_value(inputs[target])
+        inputs[target] = data.draw(mutations)
+        d = files / "fuzzed_eval"
+        d.mkdir(exist_ok=True)
+        (d / "model.ckpt").write_bytes(inputs["model.ckpt"])
+        (d / "model.json").write_bytes(inputs["model.json"])
+        (d / "data_batch_1.bin").write_bytes((files / "batch.bin").read_bytes())
+        (d / "test_batch.bin").write_bytes(inputs["batch.bin"])
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["eval", "--model", str(d / "model.ckpt"), "--data", str(d)])
+        if code == 0:
+            assert "top1_error" in json.loads(out.getvalue())
+        else:
+            assert code == 1
+            assert len(err.getvalue().splitlines()) == 1
+            assert err.getvalue().startswith("error:")
+        try:
+            tensors = load_checkpoint(d / "model.ckpt")
+        except DataFormatError:
+            return
+        if any(k.endswith(".weight") and not np.isfinite(v).all() for k, v in tensors.items()):
+            assert code == 1
 
 
 class TestVerifyCommand:
