@@ -215,9 +215,15 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def score_map(grad: np.ndarray, gamma: float, beta: float) -> np.ndarray:
-    """Gate scores: elementwise logistic of gamma * G + beta."""
-    check_finite(np.asarray(grad), "gradient map")
-    return sigmoid(grad * gamma + beta)
+    """Gate scores: elementwise logistic of gamma * G + beta.
+
+    The gate's one finiteness check.  A non-finite input pixel, a channel
+    sum that overflows, or a NaN gamma or beta reaches the scores as NaN;
+    a finite gradient map whose magnitude overflows to inf scores 0 or 1.
+    """
+    score = sigmoid(grad * gamma + beta)
+    check_finite(score, "gate score map")
+    return score
 
 
 def partition(score: np.ndarray) -> np.ndarray:
@@ -302,7 +308,6 @@ def _gated_forward(x: np.ndarray, params: CacConvParams, mix):
     (out, partitions, cache).
     """
     n_batch, _, n = _validate_cac_input(x, params)
-    check_finite(x, "input")
     w = params.weight.astype(x.dtype, copy=False)
     grad, gx, gy, score = _gate_maps(x, params)
     mask = partition(score)

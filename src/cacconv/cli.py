@@ -231,7 +231,6 @@ def cmd_export_ratios(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     written = []
     for name, layer in net.cac_layers():
-        require(layer.last_partitions is not None, f"layer {name} produced no partitions")
         path = os.path.join(args.out, f"{name}.csv")
         atomic_write_text(path, layer.last_partitions[0].to_csv())
         written.append(path)
@@ -315,7 +314,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        # The commands check non-finite values themselves and report them
+        # as one error line, so numpy's warnings would only repeat it.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (InvalidArgument, DataFormatError, NumericFailure, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -27,14 +27,10 @@ CIFAR10_STD = (0.2470, 0.2435, 0.2616)
 class Dataset:
     images: np.ndarray   # (N, C, H, W) float32
     labels: np.ndarray   # (N,) int64
-    num_classes: int = 10
 
     def __post_init__(self):
         require(self.images.ndim == 4, "images must be (N, C, H, W)")
         require(len(self.images) == len(self.labels), "image/label count mismatch")
-        if len(self.labels):
-            require(int(self.labels.min()) >= 0 and int(self.labels.max()) < self.num_classes,
-                    "labels outside class range")
 
     def __len__(self):
         return len(self.labels)
@@ -45,7 +41,7 @@ class Dataset:
                 f"subset size must lie in [1, {len(self)}], got {size}")
         require(seed >= 0, f"subset seed must be non-negative, got {seed}")
         order = np.random.default_rng(seed).permutation(len(self))[:size]
-        return Dataset(self.images[order], self.labels[order], num_classes=self.num_classes)
+        return Dataset(self.images[order], self.labels[order])
 
 
 def parse_cifar10_file(path) -> tuple:
@@ -154,7 +150,7 @@ def synth_dataset(kind: str, n: int, seed: int, size: int = 32) -> Dataset:
         np.zeros(half, dtype=np.int64), np.ones(half, dtype=np.int64),
     ])
     order = rng.permutation(n)
-    return Dataset(images[order], labels[order], num_classes=2)
+    return Dataset(images[order], labels[order])
 
 
 def augment_batch(images: np.ndarray, rng) -> np.ndarray:

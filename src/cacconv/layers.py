@@ -539,7 +539,7 @@ class Network:
     def forward(self, x, train: bool):
         """The logits of ``x``.  A layer's NumericFailure, or non-finite
         logits, ends in a NumericFailure that names the first layer whose
-        output went non-finite."""
+        output went non-finite, or else the layer that raised it."""
         require(
             x.ndim == 4 and x.shape[1:] == self.input_shape,
             f"input shape {x.shape[1:]} != model input {self.input_shape}",
@@ -551,9 +551,8 @@ class Network:
                 self._outputs.append((layer.name, x))
             check_finite(x, "output")
         except NumericFailure as exc:
-            bad = next((name for name, out in self._outputs if not np.isfinite(out).all()), None)
-            if bad is None:
-                raise
+            bad = next((name for name, out in self._outputs if not np.isfinite(out).all()),
+                       layer.name)
             raise NumericFailure(f"{exc}: first non-finite activation at layer {bad}") from None
         return x
 

@@ -92,13 +92,6 @@ def sgd_step(net: Network, state: OptimizerState, lr: float) -> None:
         theta -= lr * step
 
 
-def weighted_product_loss(ell: float, cost_ratio: float, lam: float):
-    """L = ell * cost_ratio**lam, with its partials in ell and the ratio."""
-    require(ell >= 0, f"task loss must be non-negative, got {ell}")
-    factor, dfactor = cost_penalty(cost_ratio, lam)
-    return ell * factor, factor, ell * dfactor
-
-
 @dataclass
 class StepResult:
     ell: float
@@ -136,7 +129,7 @@ def forward_backward(net: Network, images, labels, lam: float) -> StepResult:
         specs, [rho_hard.get(s.layer_id, 1.0) for s in specs]
     )
 
-    objective, factor, dl_dratio = weighted_product_loss(ell, ratio_soft, lam)
+    factor, dfactor = cost_penalty(ratio_soft, lam)
 
     dlogits = net.head.grad(probs, labels) * factor
     extras = None
@@ -148,12 +141,12 @@ def forward_backward(net: Network, images, labels, lam: float) -> StepResult:
             omega = madds_standard(spec)
             dratio_drho = omega * (1.0 - 1.0 / (spec.k * spec.k)) / c_b
             n_elems = images.shape[0] * spec.n * spec.n
-            extras[name] = dl_dratio * dratio_drho / n_elems
+            extras[name] = ell * dfactor * dratio_drho / n_elems
     net.backward(dlogits, extras)
 
     top1 = float((logits.argmax(axis=1) != labels).mean())
     return StepResult(
-        ell=ell, objective=objective,
+        ell=ell, objective=ell * factor,
         cost_ratio_soft=ratio_soft, cost_ratio_hard=hard_report.ratio,
         rho_soft=rho_soft, rho_hard=rho_hard,
         top1_error=top1, batch_size=len(labels),

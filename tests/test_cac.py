@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cacconv import (
     CacConvParams,
     InvalidArgument,
+    NumericFailure,
     aggregate_kernel,
     cac_backward,
     cac_forward_hard,
@@ -138,6 +139,38 @@ class TestScoreAndPartition:
         assert (m_hi > m_lo).all()
         assert partition(m_hi).sum() >= partition(m_lo).sum()
         assert m_hi.mean() > m_lo.mean()
+
+
+class TestGateFiniteness:
+    """The score map is the gate's one finiteness check: a non-finite input
+    pixel, a channel sum that overflows and a NaN gate parameter all reach
+    it as NaN."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("forward", [cac_forward_hard, cac_forward_soft])
+    @pytest.mark.parametrize("pbar_mode", ["center", "mean"])
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("pixel", [(0, 0), (2, 5)])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "3e38 in every channel"])
+    def test_nonfinite_input_stops_at_the_score_map(self, forward, pbar_mode, k, pixel, bad):
+        rng = np.random.default_rng(k)
+        params = small_params(rng, 3, 4, k=k, pbar_mode=pbar_mode)
+        x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
+        if bad == "3e38 in every channel":
+            x[1, :, pixel[0], pixel[1]] = 3e38   # finite; the channel sum is not
+        else:
+            x[1, 1, pixel[0], pixel[1]] = float(bad)
+        with pytest.raises(NumericFailure, match="^gate score map contains non-finite values$"):
+            forward(x, params)
+
+    @pytest.mark.parametrize("forward", [cac_forward_hard, cac_forward_soft])
+    @pytest.mark.parametrize("gate", [{"gamma": np.nan}, {"beta": np.nan}])
+    def test_nan_gate_parameter_stops_at_the_score_map(self, forward, gate):
+        rng = np.random.default_rng(5)
+        params = small_params(rng, 3, 4, **gate)
+        x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
+        with pytest.raises(NumericFailure, match="^gate score map contains non-finite values$"):
+            forward(x, params)
 
 
 class TestAggregateKernel:

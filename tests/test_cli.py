@@ -232,6 +232,19 @@ class TestEndToEnd:
         assert "--model-spec" in capsys.readouterr().err
 
 
+def save_model(directory, preset, tensor=None, value=None, index=slice(None)):
+    """Write the checkpoint and model.json of a seed-0 ``preset`` into
+    ``directory``, with the flat ``index`` of ``tensor`` set to ``value``
+    if ``tensor`` is given, and return the checkpoint's path."""
+    spec = resolve_model_spec(preset)
+    state = Network.build(spec, rng=np.random.default_rng(0)).state_dict()
+    if tensor is not None:
+        state[tensor].flat[index] = value
+    save_checkpoint(directory / "model.ckpt", state)
+    (directory / "model.json").write_text(json.dumps({"model": spec}))
+    return str(directory / "model.ckpt")
+
+
 class TestLabelsOutsideTheModel:
     """``cac_tiny_synth`` has 2 classes; a ten-class CIFAR-format
     directory holds labels it cannot output."""
@@ -261,11 +274,8 @@ class TestLabelsOutsideTheModel:
         self.assert_clean_failure(code, capsys.readouterr().err)
 
     def test_eval(self, tmp_path, cifar, capsys):
-        spec = resolve_model_spec("cac_tiny_synth")
-        net = Network.build(spec, rng=np.random.default_rng(0))
-        save_checkpoint(tmp_path / "model.ckpt", net.state_dict())
-        (tmp_path / "model.json").write_text(json.dumps({"model": spec}))
-        code = main(["eval", "--model", str(tmp_path / "model.ckpt"), "--data", str(cifar)])
+        code = main(["eval", "--model", save_model(tmp_path, "cac_tiny_synth"),
+                     "--data", str(cifar)])
         self.assert_clean_failure(code, capsys.readouterr().err)
 
 
@@ -274,7 +284,6 @@ class TestNonFiniteNets:
     gate, ends ``eval`` and ``analyze`` in one ``error:`` line naming the
     first non-finite layer, and ``analyze`` writes nothing."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command", ["eval", "analyze"])
     @pytest.mark.parametrize("preset, depth", [("conv_small", 4), ("cac_small", 8)])
     def test_fails_naming_the_layer(self, tmp_path, capsys, preset, depth, command):
@@ -292,17 +301,39 @@ class TestNonFiniteNets:
             f"first non-finite activation at layer {net.layers[depth].name}"]
         assert sorted(os.listdir(tmp_path)) == ["model.ckpt", "model.json"]
 
+    @pytest.mark.parametrize("preset", ["cac_tiny_synth", "cac_small"])
+    def test_nan_in_any_tensor_names_its_layer(self, tmp_path, capsys, preset):
+        net = Network.build(resolve_model_spec(preset), rng=np.random.default_rng(0))
+        for tensor in net.state_dict():
+            model = save_model(tmp_path, preset, tensor, np.nan, index=0)
+            code = main(["eval", "--model", model, "--data", "synthetic", "--synth-n", "4"])
+            err = capsys.readouterr().err.splitlines()
+            assert code == 1, tensor
+            assert len(err) == 1 and err[0].startswith("error: "), (tensor, err)
+            assert err[0].endswith(f"at layer {tensor.split('.')[0]}"), (tensor, err)
+
+    @pytest.mark.parametrize("preset, tensor, value", [
+        ("conv_small", "04_conv.weight", np.inf),
+        ("cac_small", "08_cac_conv.weight", np.inf),
+        ("cac_tiny_synth", "00_cac_conv.gate_beta", np.nan),
+    ])
+    def test_stderr_holds_only_the_error_line(self, tmp_path, preset, tensor, value):
+        # In a fresh interpreter, where no test harness captures numpy's
+        # warnings.
+        proc = run_cli("eval", "--model", save_model(tmp_path, preset, tensor, value),
+                       "--data", "synthetic", "--synth-n", "4")
+        assert proc.returncode == 1
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert err[0].endswith(f"at layer {tensor.split('.')[0]}"), err
+
 
 class TestDataFlags:
     """What ``eval``, ``analyze`` and ``export-ratios`` read from their flags."""
 
     @pytest.fixture
     def model(self, tmp_path):
-        spec = resolve_model_spec("cac_tiny_synth")
-        net = Network.build(spec, rng=np.random.default_rng(0))
-        save_checkpoint(tmp_path / "model.ckpt", net.state_dict())
-        (tmp_path / "model.json").write_text(json.dumps({"model": spec}))
-        return str(tmp_path / "model.ckpt")
+        return save_model(tmp_path, "cac_tiny_synth")
 
     def test_synthetic_splits_draw_from_seed_and_next_seed(self, model, capsys):
         # As in a config's dataset block: train from synth_seed, test from
@@ -643,12 +674,13 @@ class TestReaderFuzz:
         path.write_bytes(data.draw(damaged((files / "batch.bin").read_bytes())))
         self.check(parse_cifar10_file, path)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @FUZZ_SETTINGS
     @given(data=st.data(), target=st.sampled_from(["model.ckpt", "model.json", "batch.bin"]))
     def test_eval_command(self, files, data, target):
         """``cacconv eval`` with one of its files damaged exits 0, or 1 with
-        one ``error:`` line; a weight made non-finite always ends in 1."""
+        one ``error:`` line; a NaN in any tensor, or a non-finite weight,
+        always ends in 1.  An inf gate parameter may not: with beta = +inf
+        every window routes sharp, a finite result."""
         inputs = {name: (files / name).read_bytes()
                   for name in ("model.ckpt", "model.json", "batch.bin")}
         mutations = damaged(inputs[target])
@@ -674,7 +706,8 @@ class TestReaderFuzz:
             tensors = load_checkpoint(d / "model.ckpt")
         except DataFormatError:
             return
-        if any(k.endswith(".weight") and not np.isfinite(v).all() for k, v in tensors.items()):
+        if any(np.isnan(v).any() or k.endswith(".weight") and not np.isfinite(v).all()
+               for k, v in tensors.items()):
             assert code == 1
 
 

@@ -26,7 +26,6 @@ from cacconv.train import (
     save_checkpoint,
     sgd_step,
     train_model,
-    weighted_product_loss,
 )
 
 
@@ -109,30 +108,6 @@ class TestSgd:
         assert [cfg.lr_at(e, 2) for e in range(2)] == [0.05, pytest.approx(0.0005)]
         explicit = OptimizerConfig(lr=0.05, decay_epochs=[0])
         assert explicit.lr_at(0, 1) == pytest.approx(0.005)
-
-
-class TestWeightedProductLoss:
-    def test_lambda_zero(self):
-        L, dl_dell, dl_dr = weighted_product_loss(2.0, 0.123, 0.0)
-        assert L == 2.0 and dl_dell == 1.0 and dl_dr == 0.0
-
-    def test_linear_lambda(self):
-        L, _, _ = weighted_product_loss(2.0, 0.5, 1.0)
-        assert L == 1.0
-
-    def test_fractional_lambda(self):
-        L, dl_dell, dl_dr = weighted_product_loss(1.5, 0.8, 0.3)
-        assert L == pytest.approx(1.40288, abs=1e-4)
-        assert dl_dell == pytest.approx(0.8**0.3)
-        assert dl_dr == pytest.approx(1.5 * 0.3 * 0.8 ** (-0.7))
-
-    def test_invalid_ranges(self):
-        with pytest.raises(InvalidArgument):
-            weighted_product_loss(-1.0, 0.5, 0.3)
-        with pytest.raises(InvalidArgument):
-            weighted_product_loss(1.0, 0.0, 0.3)
-        with pytest.raises(InvalidArgument):
-            weighted_product_loss(1.0, 0.5, -0.3)
 
 
 TINY = {
@@ -231,19 +206,39 @@ class TestForwardBackward:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_nonfinite_activation_before_a_gate_attributed(self, mode):
-        # Layer 08's gate rejects the non-finite input that layer 04 made.
+        # Layer 08's gate scores go NaN on the non-finite input that layer
+        # 04 made.
         rng = np.random.default_rng(2)
         net = Network.build(resolve_model_spec("cac_small"), rng=rng)
         net.layers[4].weight[...] = np.inf
         x = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
         labels = np.array([0, 1])
-        message = ("^input contains non-finite values: "
+        message = ("^gate score map contains non-finite values: "
                    "first non-finite activation at layer 04_cac_conv$")
         with pytest.raises(NumericFailure, match=message):
             if mode == "train":
                 forward_backward(net, x, labels, lam=0.0)
             else:
                 evaluate(net, x, labels)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_gradient_magnitude_overflow_routes_in_eval_stops_in_training(self):
+        # A 1e30 pixel is finite, but its Sobel magnitude overflows float32
+        # to inf, which the gate scores 0 or 1: evaluation routes it, while
+        # a training step on it makes a non-finite gate gradient.
+        net = Network.build(resolve_model_spec("cac_tiny_synth"), rng=np.random.default_rng(0))
+        ds = synth_dataset("smooth_vs_textured", 8, 0)
+        ds.images[3, 1, 4, 4] = 1e30
+        result = evaluate(net, ds.images, ds.labels)
+        part = net.layers[0].last_partitions[3]
+        overflowed = np.isinf(part.gradient)
+        assert overflowed.any() and np.isin(part.score[overflowed], [0.0, 1.0]).all()
+        assert np.isfinite([result.top1_error, result.madds_mean, result.madds_std,
+                            *result.rho_hard.values(), *result.per_sample_madds]).all()
+        forward_backward(net, ds.images, ds.labels, lam=0.0)
+        with pytest.raises(NumericFailure, match="^non-finite update for parameter "
+                                                 "00_cac_conv.gate_gamma$"):
+            sgd_step(net, OptimizerState(config=OptimizerConfig()), lr=0.05)
 
 
 def tiny_cfg(tmp_path, **kw):
