@@ -15,7 +15,6 @@ from .cac import (
     cac_backward,
     cac_forward_hard,
     cac_forward_soft,
-    partition,
     score_map,
     sobel_gradient,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "madds_cac",
     "madds_standard",
     "model_cost",
-    "partition",
     "rho_upper_bound",
     "score_map",
     "sobel_gradient",

@@ -211,7 +211,7 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically guarded logistic: no overflow for any finite input."""
     z = np.asarray(z)
     t = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    return np.where(z >= 0, 1.0, t) / (1.0 + t)
 
 
 def score_map(grad: np.ndarray, gamma: float, beta: float) -> np.ndarray:
@@ -224,16 +224,6 @@ def score_map(grad: np.ndarray, gamma: float, beta: float) -> np.ndarray:
     score = sigmoid(grad * gamma + beta)
     check_finite(score, "gate score map")
     return score
-
-
-def partition(score: np.ndarray) -> np.ndarray:
-    """Boolean sharp mask: score > 0.5 (strict; exact ties count as smooth)."""
-    score = np.asarray(score)
-    require(
-        bool((score >= 0).all() and (score <= 1).all()),
-        "scores must lie in [0, 1]",
-    )
-    return score > 0.5
 
 
 @dataclass
@@ -310,7 +300,8 @@ def _gated_forward(x: np.ndarray, params: CacConvParams, mix):
     n_batch, _, n = _validate_cac_input(x, params)
     w = params.weight.astype(x.dtype, copy=False)
     grad, gx, gy, score = _gate_maps(x, params)
-    mask = partition(score)
+    # Strict: a score of exactly 0.5 routes smooth.
+    mask = score > 0.5
     y, saved = mix(x, w, score, mask, params)
     if params.bias is not None:
         y += params.bias.astype(x.dtype, copy=False)[:, None]

@@ -225,18 +225,16 @@ def cmd_analyze(args) -> int:
 
 def cmd_export_ratios(args) -> int:
     net = load_model(args.model, args.model_spec)
+    gated = net.cac_layers()
+    require(gated, "model has no gated layers to export")
     ds = _eval_dataset(args)
     require(0 <= args.image < len(ds), f"image index {args.image} out of range [0, {len(ds)})")
     net.forward(ds.images[args.image:args.image + 1], train=False)
     os.makedirs(args.out, exist_ok=True)
-    written = []
-    for name, layer in net.cac_layers():
+    for name, layer in gated:
         path = os.path.join(args.out, f"{name}.csv")
         atomic_write_text(path, layer.last_partitions[0].to_csv())
-        written.append(path)
-    require(written, "model has no gated layers to export")
-    for p in written:
-        print(f"wrote {p}")
+        print(f"wrote {path}")
     return 0
 
 

@@ -78,7 +78,8 @@ def load_cifar10(dir_path) -> tuple:
     """Load (train, test) Datasets from a directory of binary batches.
 
     Training data is the concatenation of data_batch_*.bin in sorted
-    order; test data is test_batch.bin.  Ordering is byte-stable."""
+    order; test data is test_batch.bin.  Ordering is byte-stable.  A
+    split with no records is an error."""
     train_files = sorted(glob.glob(os.path.join(dir_path, "data_batch_*.bin")))
     test_file = os.path.join(dir_path, "test_batch.bin")
     if not train_files:
@@ -86,16 +87,19 @@ def load_cifar10(dir_path) -> tuple:
     if not os.path.exists(test_file):
         raise DataFormatError(f"{test_file}: missing test batch")
 
-    def build(files):
+    def build(files, where):
         images, labels = [], []
         for p in files:
             im, lb = parse_cifar10_file(p)
             images.append(im)
             labels.append(lb)
-        x = normalize_images(np.concatenate(images))
-        return Dataset(x, np.concatenate(labels))
+        labels = np.concatenate(labels)
+        if not labels.size:
+            raise DataFormatError(f"{where}: no records")
+        return Dataset(normalize_images(np.concatenate(images)), labels)
 
-    return build(train_files), build([test_file])
+    return (build(train_files, os.path.join(dir_path, "data_batch_*.bin")),
+            build([test_file], test_file))
 
 
 def write_cifar10_batch(path, images_u8: np.ndarray, labels: np.ndarray) -> None:

@@ -249,11 +249,11 @@ def col2im_batch(cols: np.ndarray, n_batch: int, c: int, n: int, k: int) -> np.n
 def channel_mean(x: np.ndarray) -> np.ndarray:
     """Average feature map over channels: (N, C, H, W) -> (N, 1, H, W).
 
-    Channels are accumulated in ascending index order, then divided by C,
-    so the result is bit-reproducible and matches the scalar reference loop.
+    Channels are added to +0.0 in ascending index order, then divided by
+    C: the scalar reference loop's steps, so the bits match it.
     """
     _, c, _, _ = _check_nchw(x)
-    acc = x[:, 0].astype(x.dtype, copy=True)
+    acc = x[:, 0] + 0.0
     for ci in range(1, c):
         acc += x[:, ci]
     acc /= c

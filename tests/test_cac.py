@@ -14,13 +14,12 @@ from cacconv import (
     cac_forward_soft,
     conv2d,
     finite_diff_grad,
-    partition,
     score_map,
     sobel_gradient,
 )
 from cacconv import cac as cac_module
 from cacconv.cac import sigmoid
-from cacconv.oracle import _sobel_maps_naive
+from cacconv.oracle import _sigmoid_scalar, _sobel_maps_naive
 from cacconv.tensor import channel_mean, col2im_batch, im2col_batch, kernel_matrix
 
 
@@ -123,13 +122,15 @@ class TestScoreAndPartition:
         assert np.isfinite(s).all()
         assert s[0] == 0.0 and s[-1] == 1.0 and s[2] == 0.5
 
-    def test_partition_is_strict_at_half(self):
-        m = np.array([[0.5, 0.5000001], [0.4999999, 1.0]], dtype=np.float64)
-        assert partition(m).tolist() == [[False, True], [False, True]]
-
-    def test_partition_range_validated(self):
-        with pytest.raises(InvalidArgument):
-            partition(np.array([0.2, 1.2]))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_scalar_reference(self, dtype):
+        big = np.finfo(dtype).max
+        grid = [0.0, 1e-8, 0.5, 1.0, 50.0, 1e4, big]
+        z = np.array(grid + [-v for v in grid], dtype=dtype)
+        expected = np.array([_sigmoid_scalar(v) for v in z], dtype=dtype)
+        got = sigmoid(z)
+        assert got.dtype == dtype
+        assert got.tobytes() == expected.tobytes()
 
     def test_monotone_gating_in_beta(self):
         rng = np.random.default_rng(3)
@@ -137,7 +138,7 @@ class TestScoreAndPartition:
         m_lo = score_map(g, 1.0, -0.5)
         m_hi = score_map(g, 1.0, 0.5)
         assert (m_hi > m_lo).all()
-        assert partition(m_hi).sum() >= partition(m_lo).sum()
+        assert (m_hi > 0.5).sum() >= (m_lo > 0.5).sum()
         assert m_hi.mean() > m_lo.mean()
 
 

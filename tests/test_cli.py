@@ -279,6 +279,41 @@ class TestLabelsOutsideTheModel:
         self.assert_clean_failure(code, capsys.readouterr().err)
 
 
+class TestEmptyCifarSplit:
+    """A CIFAR split with no records stops the command before any work,
+    with one ``error:`` line naming the split's file."""
+
+    @pytest.fixture
+    def cifar(self, tmp_path):
+        rng = np.random.default_rng(0)
+        d = tmp_path / "cifar"
+        d.mkdir()
+        for name in ("data_batch_1.bin", "test_batch.bin"):
+            write_cifar10_batch(d / name, rng.integers(0, 256, (8, 3, 32, 32), np.uint8),
+                                np.arange(8) % 2)
+        return d
+
+    def assert_one_error_naming(self, code, err, name):
+        assert code == 1, err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert name in lines[0] and "no records" in lines[0], err
+
+    def test_train_with_empty_test_batch(self, tmp_path, cifar, capsys):
+        (cifar / "test_batch.bin").write_bytes(b"")
+        cfg_path = write_tiny_config(
+            tmp_path, epochs=1, batch_size=8, dataset={"kind": "cifar10", "path": str(cifar)})
+        code = main(["train", "--config", str(cfg_path), "--quiet"])
+        self.assert_one_error_naming(code, capsys.readouterr().err, "test_batch.bin")
+        assert not (tmp_path / "run").exists()
+
+    def test_eval_train_split_with_empty_data_batch(self, tmp_path, cifar, capsys):
+        (cifar / "data_batch_1.bin").write_bytes(b"")
+        code = main(["eval", "--model", save_model(tmp_path, "cac_tiny_synth"),
+                     "--data", str(cifar), "--split", "train"])
+        self.assert_one_error_naming(code, capsys.readouterr().err, "data_batch_*.bin")
+
+
 class TestNonFiniteNets:
     """A net whose logits go non-finite past its last gate, or that has no
     gate, ends ``eval`` and ``analyze`` in one ``error:`` line naming the
@@ -358,6 +393,16 @@ class TestDataFlags:
             assert code == 2, command
             assert "unrecognized arguments: --batch-size 4" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["model.ckpt", "model.json"]
+
+    def test_export_ratios_of_ungated_model_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "ratios"
+        code = main(["export-ratios", "--model", save_model(tmp_path, "conv_small"),
+                     "--data", "synthetic", "--synth-n", "8", "--image", "0",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: model has no gated layers to export"]
+        assert not out.exists()
 
 
 def run_cli(*args):

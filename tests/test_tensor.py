@@ -147,6 +147,27 @@ class TestChannelMean:
                     acc = acc + x[0, ci, y, xo]
                 assert got[0, 0, y, xo] == acc / 8
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [1, 3, 16, 32])
+    @pytest.mark.parametrize("batch", [1, 64])
+    def test_oracle_steps_with_negative_zeros(self, batch, c, dtype):
+        # The oracle adds each pixel's channels to +0.0 in channel order,
+        # then divides by C, so a pixel whose every channel is -0.0 has
+        # mean +0.0.
+        rng = np.random.default_rng(c)
+        x = rng.standard_normal((batch, c, 4, 4)).astype(dtype)
+        x[rng.random(x.shape) < 0.3] = -0.0
+        x[0, :, 1, 2] = -0.0
+        expected = np.empty((batch, 1, 4, 4), dtype=dtype)
+        for idx in np.ndindex(batch, 4, 4):
+            acc = dtype(0.0)
+            for ci in range(c):
+                acc = acc + x[idx[0], ci, idx[1], idx[2]]
+            expected[idx[0], 0, idx[1], idx[2]] = acc / c
+        got = channel_mean(x)
+        assert got.dtype == dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
 
 # The padded-plane window layout the flat-shift layout replaced: x as
 # zero-padded channel-major planes (C, N, n + 2 pad, n + 2 pad), tap
