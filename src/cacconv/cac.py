@@ -15,7 +15,10 @@ Two forward modes are provided:
 
 from __future__ import annotations
 
+import contextvars
 import io
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +44,42 @@ PBAR_MODES = ("center", "mean")
 # x86 host).  Over the full all-sharp column matrix of the cac_small
 # layers 00 / 04 / 08 at batch 64, the tiled loop ran 42-59 / 97 / 92 ms
 # at 1024 columns, 10-11 / 21 / 25 ms at 4096 and 10-11 / 27-29 / 25-26
-# ms at 8192 (best of 5).  So tiles and chunks stay at 4096 columns.
+# ms at 8192 (best of 5).  So tiles and chunks stay at 4096 columns, and a
+# tap loop shared with the helper thread (below) is cut at a tile boundary
+# or between output rows, never inside a tile: half a tile is on the cliff.
 TAP_TILE = 4096
+
+# Tap-loop work, in multiply-adds, from which the hard path shares a loop
+# with one helper thread: numpy releases the GIL inside each multiply and
+# add, so the halves overlap on two cores; BLAS threads are not touched.
+# Below it the loop stays on the calling thread, which covers every batch-1
+# layer of cac_small (at most 1.2M).  On a 2-vCPU x86 host (best of 40),
+# two threads summed two 4096-column chunks of layer 08 (75.5M each) in
+# 0.45-0.65x the time one thread took, of layer 04 (18.9M) in 0.65-1.05x
+# and of layer 00 (1.8M) in 1.0x; two batch-1 column matrices of layers
+# 04 and 08 (64-256 columns) took 1.3-1.8x as long.
+SPLIT_MADDS = 1 << 22
+
+_POOL: ThreadPoolExecutor | None = None
+
+
+def _start_pool() -> None:
+    """Make the helper pool: one thread, started on first use, and none
+    when this process may use only one CPU."""
+    global _POOL
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    _POOL = (ThreadPoolExecutor(max_workers=1, thread_name_prefix="cacconv-taps")
+             if cpus > 1 else None)
+
+
+_start_pool()
+if hasattr(os, "register_at_fork"):
+    # A forked child has no helper thread: a pool copied from the parent
+    # would queue work that nothing runs.
+    os.register_at_fork(after_in_child=_start_pool)
 
 # Separable Sobel taps: derivative along one axis, smoothing along the other.
 DERIV_TAPS = (-1.0, 0.0, 1.0)
@@ -311,22 +348,88 @@ def _gated_forward(x: np.ndarray, params: CacConvParams, mix):
     return out, _partitions_per_sample(grad, score, mask), cache
 
 
+def _taps(wmat: np.ndarray, rows: np.ndarray, out: np.ndarray):
+    """The loop that adds the sum over r of the outer product
+    wmat[r] x rows[r] to the zeroed ``out``, shape (c_out, columns), as a
+    function of no arguments.  Each output column accumulates from zero
+    one tap at a time in row order: the summation order of the scalar
+    reference loop.  Columns are independent, so they run in tiles of
+    ``TAP_TILE``.
+
+    The product buffer is allocated here, so that a loop run on the
+    helper thread allocates no array buffer: it calls numpy's multiply
+    and add only."""
+    tmp = np.empty((out.shape[0], min(TAP_TILE, rows.shape[1])), dtype=rows.dtype)
+
+    def loop():
+        for start in range(0, rows.shape[1], TAP_TILE):
+            tile = rows[:, start:start + TAP_TILE]
+            acc = out[:, start:start + TAP_TILE]
+            prod = tmp[:, :tile.shape[1]]
+            for r in range(wmat.shape[0]):
+                np.multiply(wmat[r][:, None], tile[r][None, :], out=prod)
+                acc += prod
+
+    return loop
+
+
+def _splits(madds: int) -> bool:
+    """Whether tap-loop work of ``madds`` multiply-adds is shared with the
+    helper thread."""
+    return _POOL is not None and madds >= SPLIT_MADDS
+
+
+def _on_two_threads(helper_half, caller_half) -> None:
+    """Run ``helper_half`` on the helper thread and ``caller_half`` on this
+    one, and return once both have stopped.
+
+    The helper's half runs in a copy of this thread's context, so numpy's
+    ``errstate`` and ``bufsize`` hold there too.  Both halves write into
+    the caller's buffers, so an exception from either one is raised only
+    after the helper's half has stopped: the caller's first, else the
+    helper's."""
+    future = _POOL.submit(contextvars.copy_context().run, helper_half)
+    try:
+        caller_half()
+    finally:
+        future.exception()  # waits; the helper's exception is raised below
+    future.result()
+
+
 def _tap_loop(wmat: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Sum over r of the outer product wmat[r] x rows[r], shape
-    (c_out, columns).  Each output column accumulates from zero one tap
-    at a time in row order: the summation order of the scalar reference
-    loop.  Columns are independent, so they run in tiles of ``TAP_TILE``.
-    """
+    (c_out, columns), each column summed in the reference loop's order
+    (``_taps``).
+
+    Work of at least ``SPLIT_MADDS`` is split with the helper thread: at
+    the ``TAP_TILE`` boundary nearest the middle when the columns span two
+    or more tiles, else by halves of the output rows.  Either way every
+    output scalar runs the same multiplies and adds, so the split changes
+    no bit.  Work below that, and a single output row within one tile,
+    stays on the calling thread."""
     out = np.zeros((wmat.shape[1], rows.shape[1]), dtype=rows.dtype)
-    tmp = np.empty((wmat.shape[1], min(TAP_TILE, rows.shape[1])), dtype=rows.dtype)
-    for start in range(0, rows.shape[1], TAP_TILE):
-        tile = rows[:, start:start + TAP_TILE]
-        acc = out[:, start:start + TAP_TILE]
-        prod = tmp[:, :tile.shape[1]]
-        for r in range(wmat.shape[0]):
-            np.multiply(wmat[r][:, None], tile[r][None, :], out=prod)
-            acc += prod
+    c_out, columns = out.shape
+    split = _splits(wmat.size * columns)
+    if split and columns >= 2 * TAP_TILE:
+        mid = round(columns / (2 * TAP_TILE)) * TAP_TILE
+        _on_two_threads(_taps(wmat, rows[:, mid:], out[:, mid:]),
+                        _taps(wmat, rows[:, :mid], out[:, :mid]))
+    elif split and c_out >= 2:
+        half = c_out // 2
+        _on_two_threads(_taps(wmat[:, half:], rows, out[half:]),
+                        _taps(wmat[:, :half], rows, out[:half]))
+    else:
+        _taps(wmat, rows, out)()
     return out
+
+
+def _tap_loop_pair(wmat: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray):
+    """``_tap_loop`` of two column matrices: ``rows_a`` on the calling
+    thread, ``rows_b`` on the helper."""
+    out_a, out_b = (np.zeros((wmat.shape[1], r.shape[1]), dtype=r.dtype)
+                    for r in (rows_a, rows_b))
+    _on_two_threads(_taps(wmat, rows_b, out_b), _taps(wmat, rows_a, out_a))
+    return out_a, out_b
 
 
 def _route(x, w, score, mask, params):
@@ -337,7 +440,8 @@ def _route(x, w, score, mask, params):
     needs no window index.  The sharp windows' gathered columns then run
     the k x k taps, and those results overwrite their columns: one
     scatter, of sharp columns only.  The 1 x 1 work thrown away on a
-    sharp window is at most 1/k^2 of its k x k work.
+    sharp window is at most 1/k^2 of its k x k work.  Both tap loops
+    split with the helper thread as ``_tap_loop`` says.
 
     When every window is sharp, nothing is scattered: the k x k taps run
     over the full column matrix, built and summed one chunk of whole
@@ -346,16 +450,26 @@ def _route(x, w, score, mask, params):
     place into a (c_out, N n^2) output, whose row stride is a power of two
     at the cac_small shapes, was slower.  No window reads across an
     image's edge, so a chunk's columns are exactly the full matrix's
-    columns for its windows."""
+    columns for its windows.  When a chunk's work would split, this
+    thread builds the columns of two chunks and the helper sums the
+    second while this thread sums the first; a last odd chunk goes to
+    ``_tap_loop``.  Only this thread calls ``im2col_batch``."""
     sharp = np.flatnonzero(mask.reshape(-1))
     if sharp.size == mask.size:
         n_batch, n2 = x.shape[0], x.shape[2] * x.shape[3]
         wmat = kernel_matrix(w)
         y = np.empty((params.c_out, n_batch * n2), dtype=x.dtype)
         step = max(1, TAP_TILE // n2)
-        for b0 in range(0, n_batch, step):
+        pair = _splits(wmat.size * step * n2)
+        for b0 in range(0, n_batch, 2 * step if pair else step):
             b1 = min(b0 + step, n_batch)
-            y[:, b0 * n2:b1 * n2] = _tap_loop(wmat, im2col_batch(x[b0:b1], params.k))
+            b2 = min(b1 + step, n_batch) if pair else b1
+            cols = im2col_batch(x[b0:b1], params.k)
+            if b2 > b1:
+                y[:, b0 * n2:b1 * n2], y[:, b1 * n2:b2 * n2] = _tap_loop_pair(
+                    wmat, cols, im2col_batch(x[b1:b2], params.k))
+            else:
+                y[:, b0 * n2:b1 * n2] = _tap_loop(wmat, cols)
         return y, None
     y = _tap_loop(aggregate_kernel(w), _pbar_map(x, params))
     y_sharp = _tap_loop(kernel_matrix(w), im2col_batch(x, params.k, sharp))
@@ -403,6 +517,13 @@ def cac_forward_hard(
     kernel row, kernel column), one vectorized step per tap, so every
     output scalar is produced by the same floating-point sequence as the
     scalar reference loop.
+
+    Uses up to two cores.  A tap loop of at least ``SPLIT_MADDS``
+    multiply-adds runs half on this thread and half on one helper
+    thread, split by columns, by output rows, or (all sharp) by chunks of
+    images; smaller loops, such as every batch-1 layer of ``cac_small``,
+    run on this thread alone.  The split changes no output bit, and the
+    helper calls numpy only, under this thread's numpy error state.
     """
     out, partitions, _ = _gated_forward(x, params, _route)
     return out, partitions

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 import numpy as np
 
 from .cost import model_cost
-from .data import Dataset, load_cifar10, synth_dataset
+from .data import Dataset, load_cifar10, load_cifar10_split, synth_dataset
 from .errors import DataFormatError, InvalidArgument, NumericFailure
 from .ioutil import atomic_write_text
 from .layers import Network, resolve_model_spec  # noqa: F401  bench/workloads.py imports it from here
@@ -176,8 +176,7 @@ def _eval_dataset(args) -> Dataset:
         seed = args.synth_seed + (args.split == "test")
         ds = synth_dataset(args.synth_kind, args.synth_n, seed)
     else:
-        train, test = load_cifar10(args.data)
-        ds = train if args.split == "train" else test
+        ds = load_cifar10_split(args.data, args.split)
     if args.subset:
         ds = ds.subset(args.subset, args.subset_seed)
     return ds

@@ -74,32 +74,39 @@ def normalize_images(u8: np.ndarray) -> np.ndarray:
     return (x - mean) / std
 
 
-def load_cifar10(dir_path) -> tuple:
-    """Load (train, test) Datasets from a directory of binary batches.
+def load_cifar10_split(dir_path, split: str) -> Dataset:
+    """Load one split, ``"train"`` or ``"test"``, from a directory of
+    binary batches, reading no file of the other split.
 
     Training data is the concatenation of data_batch_*.bin in sorted
     order; test data is test_batch.bin.  Ordering is byte-stable.  A
-    split with no records is an error."""
-    train_files = sorted(glob.glob(os.path.join(dir_path, "data_batch_*.bin")))
-    test_file = os.path.join(dir_path, "test_batch.bin")
-    if not train_files:
-        raise DataFormatError(f"{dir_path}: no data_batch_*.bin files found")
-    if not os.path.exists(test_file):
-        raise DataFormatError(f"{test_file}: missing test batch")
+    split with no files or no records is an error."""
+    require(split in ("train", "test"), f"split must be 'train' or 'test', got {split!r}")
+    if split == "train":
+        where = os.path.join(dir_path, "data_batch_*.bin")
+        files = sorted(glob.glob(where))
+        if not files:
+            raise DataFormatError(f"{dir_path}: no data_batch_*.bin files found")
+    else:
+        where = os.path.join(dir_path, "test_batch.bin")
+        files = [where]
+        if not os.path.exists(where):
+            raise DataFormatError(f"{where}: missing test batch")
+    images, labels = [], []
+    for p in files:
+        im, lb = parse_cifar10_file(p)
+        images.append(im)
+        labels.append(lb)
+    labels = np.concatenate(labels)
+    if not labels.size:
+        raise DataFormatError(f"{where}: no records")
+    return Dataset(normalize_images(np.concatenate(images)), labels)
 
-    def build(files, where):
-        images, labels = [], []
-        for p in files:
-            im, lb = parse_cifar10_file(p)
-            images.append(im)
-            labels.append(lb)
-        labels = np.concatenate(labels)
-        if not labels.size:
-            raise DataFormatError(f"{where}: no records")
-        return Dataset(normalize_images(np.concatenate(images)), labels)
 
-    return (build(train_files, os.path.join(dir_path, "data_batch_*.bin")),
-            build([test_file], test_file))
+def load_cifar10(dir_path) -> tuple:
+    """Load (train, test) Datasets from a directory of binary batches
+    (see :func:`load_cifar10_split`)."""
+    return load_cifar10_split(dir_path, "train"), load_cifar10_split(dir_path, "test")
 
 
 def write_cifar10_batch(path, images_u8: np.ndarray, labels: np.ndarray) -> None:

@@ -11,10 +11,12 @@ so a package change that breaks them fails there too.
 
 import os
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+from cacconv import cac as cac_module
 from cacconv.cac import cac_forward_hard, cac_forward_soft
 from cacconv.data import synth_dataset
 from cacconv.layers import Network, resolve_model_spec
@@ -76,6 +78,57 @@ def test_tracer_counts_an_eval_as_the_layer_does():
     untraced = evaluate(net, x, y)
     assert untraced.summary() == res.summary()
     assert np.array_equal(untraced.per_sample_madds, res.per_sample_madds)
+
+
+def test_traced_eval_sharp_stays_on_the_calling_thread(tmp_path, monkeypatch):
+    # The tracer's span stack and counts are shared and not thread-safe,
+    # so the hard path's helper thread may call nothing that it traces.
+    # Every span starts and ends with a perf_counter_ns call.
+    state = workloads.setup("eval_sharp", 0, str(tmp_path))
+    threads = set()
+    clock = tracing.perf_counter_ns
+
+    def clock_on_thread():
+        threads.add(threading.get_ident())
+        return clock()
+
+    monkeypatch.setattr(tracing, "perf_counter_ns", clock_on_thread)
+    tracer = tracing.Tracer()
+    tracer.op = 0
+    tracer.install(state.net)
+    try:
+        res = workloads.run_op(state)
+    finally:
+        tracer.uninstall()
+    assert threads == {threading.get_ident()}
+    assert workloads.check_op(state, res)   # the untraced warm-up op's result
+    counts = tracer.count_totals([0])
+    # Every window routes sharp, so each gated layer builds the column
+    # matrix of its whole input once, one chunk of images at a time.
+    batch, im2col_bytes = len(state.y), 0
+    for spec in state.net.cost_specs():
+        if not spec.cac:
+            continue
+        windows = batch * spec.n * spec.n
+        assert counts[f"cac.{spec.layer_id}.sharp"] == counts[f"cac.{spec.layer_id}.windows"]
+        assert counts[f"cac.{spec.layer_id}.windows"] == windows
+        im2col_bytes += (1 + spec.k * spec.k) * spec.c_in * windows * 4
+    assert counts["tensor.im2col_batch.bytes"] == im2col_bytes
+    # Each im2col_batch span's parent chain reaches the gated forward of
+    # its own layer: one span per chunk of that layer.
+    chunks = {}
+    for idx, (name, *_) in enumerate(tracer.spans):
+        if name == "tensor.im2col_batch":
+            chain, parent = [], tracer.spans[idx][3]
+            while parent >= 0:
+                chain.append(tracer.spans[parent][0])
+                parent = tracer.spans[parent][3]
+            layer = next(n.split(".")[1] for n in chain if n.startswith("layers."))
+            assert chain[:2] == ["cac.cac_forward_hard", f"layers.{layer}.fwd"]
+            chunks[layer] = chunks.get(layer, 0) + 1
+    step = {s.layer_id: max(1, cac_module.TAP_TILE // (s.n * s.n))
+            for s in state.net.cost_specs() if s.cac}
+    assert chunks == {layer: -(-batch // per) for layer, per in step.items()}
 
 
 def test_oracle_checks_pass():

@@ -1,3 +1,12 @@
+import contextlib
+import multiprocessing
+import os
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +39,25 @@ def small_params(rng, c_in, c_out, k=3, dtype=np.float32, **kw):
         bias=rng.standard_normal(c_out).astype(dtype) * 0.1,
         **kw,
     )
+
+
+@contextlib.contextmanager
+def helper_thread(split_madds=0):
+    """Share every tap loop of at least ``split_madds`` multiply-adds with
+    a helper thread (one made here if this host gave the module none).
+    Yields the list of threads that split a loop, one entry per split."""
+    splits = []
+    real = cac_module._on_two_threads
+
+    def recording(helper_half, caller_half):
+        splits.append(threading.get_ident())
+        real(helper_half, caller_half)
+
+    with ThreadPoolExecutor(max_workers=1) as pool, \
+            mock.patch.object(cac_module, "_POOL", cac_module._POOL or pool), \
+            mock.patch.object(cac_module, "SPLIT_MADDS", split_madds), \
+            mock.patch.object(cac_module, "_on_two_threads", recording):
+        yield splits
 
 
 class TestSobel:
@@ -207,6 +235,8 @@ class TestHardForward:
                 assert np.array_equal(a.sharp_mask, b.sharp_mask)
                 assert np.array_equal(a.score, b.score)
 
+    @pytest.mark.parametrize("split", ["one_thread", "every_loop"])
+    @pytest.mark.parametrize("c_out", [1, 4])
     @pytest.mark.parametrize("gate, tile", [
         *(pytest.param("median", tile, id=str(tile)) for tile in (1, 5, 64)),
         # All sharp: chunks of max(1, tile // 81) whole images.  64 gives
@@ -214,16 +244,21 @@ class TestHardForward:
         # chunks and a partial last one, 4096 a single chunk.
         *(pytest.param("all_sharp", tile, id=f"all_sharp-{tile}") for tile in (64, 162, 4096)),
     ])
-    def test_bit_for_bit_across_column_tiles(self, monkeypatch, gate, tile):
+    def test_bit_for_bit_across_column_tiles(self, monkeypatch, gate, tile, c_out, split):
         # The tap loops run in column tiles; a tile smaller than either
         # branch's column count puts tile edges inside both branches.
+        # With every loop shared with the helper thread, loops of two or
+        # more tiles split at a tile edge, one-tile loops between output
+        # rows (a single row stays whole), and all-sharp chunks go in
+        # pairs, with an odd last chunk at tiles 64 and 162.
         monkeypatch.setattr(cac_module, "TAP_TILE", tile)
         rng = np.random.default_rng(14)
         x = rng.standard_normal((5, 3, 9, 9)).astype(np.float32)
         grad = sobel_gradient(channel_mean(x))
         beta = -float(np.median(grad)) if gate == "median" else 10.0
-        params = small_params(rng, 3, 4, gamma=1.0, beta=beta)
-        y_fast, parts = cac_forward_hard(x, params)
+        params = small_params(rng, 3, c_out, gamma=1.0, beta=beta)
+        with helper_thread(0 if split == "every_loop" else cac_module.SPLIT_MADDS) as splits:
+            y_fast, parts = cac_forward_hard(x, params)
         y_ref, _ = cac_forward_naive(x, params)
         sharp = sum(p.sharp_count for p in parts)
         if gate == "median":
@@ -231,6 +266,8 @@ class TestHardForward:
         else:
             assert sharp == x.shape[0] * 81
         assert np.array_equal(y_fast, y_ref)
+        one_tile_row = c_out == 1 and tile == 4096
+        assert bool(splits) == (split == "every_loop" and not one_tile_row)
 
     @pytest.mark.parametrize("pbar_mode", ["center", "mean"])
     @pytest.mark.parametrize("sharp_windows", ["one", "all_but_one"])
@@ -349,8 +386,9 @@ def hard_cases(draw, constant_input=False, all_sharp=False):
     return x, params
 
 
-def assert_hard_matches_naive(x, params):
-    y_fast, parts_fast = cac_forward_hard(x, params)
+def assert_hard_matches_naive(x, params, split_madds):
+    with helper_thread(split_madds):
+        y_fast, parts_fast = cac_forward_hard(x, params)
     y_ref, parts_ref = cac_forward_naive(x, params)
     assert y_fast.dtype == y_ref.dtype == x.dtype
     assert np.array_equal(y_fast, y_ref)
@@ -361,31 +399,143 @@ def assert_hard_matches_naive(x, params):
     return parts_fast
 
 
+# The shipped split threshold, and 0, which shares every tap loop of two
+# or more output rows with the helper thread.
+SPLITS = pytest.mark.parametrize("split_madds", [cac_module.SPLIT_MADDS, 0],
+                                 ids=["shipped_split", "every_loop_split"])
+
+
 class TestHardForwardProperties:
     """Bit-exact agreement of the hard forward with the scalar oracle on
     shapes, dtypes and gates beyond those acceptance check 2 draws."""
 
+    @SPLITS
     @PROPERTY_SETTINGS
     @given(hard_cases())
-    def test_bitwise_equal_to_naive(self, case):
-        assert_hard_matches_naive(*case)
+    def test_bitwise_equal_to_naive(self, split_madds, case):
+        assert_hard_matches_naive(*case, split_madds)
 
+    @SPLITS
     @PROPERTY_SETTINGS
     @given(hard_cases(constant_input=True))
-    def test_score_of_exactly_half_routes_smooth(self, case):
+    def test_score_of_exactly_half_routes_smooth(self, split_madds, case):
         # A constant input has G = 0 everywhere, so beta = 0 puts every
         # score exactly on the threshold, where ties count as smooth.
-        for part in assert_hard_matches_naive(*case):
+        for part in assert_hard_matches_naive(*case, split_madds):
             assert (part.gradient == 0).all()
             assert (part.score == 0.5).all()
             assert not part.sharp_mask.any()
 
+    @SPLITS
     @PROPERTY_SETTINGS
     @given(hard_cases(all_sharp=True))
-    def test_every_window_sharp(self, case):
+    def test_every_window_sharp(self, split_madds, case):
         # rho = 1 exactly: every column is gathered, none runs 1 x 1.
-        for part in assert_hard_matches_naive(*case):
+        for part in assert_hard_matches_naive(*case, split_madds):
             assert part.sharp_mask.all()
+
+
+class TestHelperThread:
+    """The hard path's tap loops shared with one helper thread."""
+
+    @pytest.mark.parametrize("c_in, c_out, n", [(3, 16, 32), (16, 32, 16), (32, 64, 8)],
+                             ids=["00", "04", "08"])
+    @pytest.mark.parametrize("rho", ["0", "mixed", "1"])
+    def test_same_bytes_as_one_thread_at_cac_small_shapes(self, c_in, c_out, n, rho):
+        rng = np.random.default_rng(c_in)
+        x = rng.standard_normal((64, c_in, n, n)).astype(np.float32)
+        grad = sobel_gradient(channel_mean(x))
+        beta = {"0": -1.0 - float(grad.max()), "mixed": -float(np.median(grad)), "1": 10.0}[rho]
+        params = small_params(rng, c_in, c_out, gamma=1.0, beta=beta)
+        with helper_thread(cac_module.SPLIT_MADDS) as splits:
+            y_split, parts = cac_forward_hard(x, params)
+        with mock.patch.object(cac_module, "_POOL", None):
+            y_alone, _ = cac_forward_hard(x, params)
+        assert y_split.tobytes() == y_alone.tobytes()
+        rho_hard = sum(p.sharp_count for p in parts) / (64 * n * n)
+        assert {"0": rho_hard == 0, "mixed": 0 < rho_hard < 1, "1": rho_hard == 1}[rho]
+        # Layers 04 and 08 run a tap loop of 8.4M multiply-adds or more at
+        # every rho.
+        if c_in >= 16:
+            assert splits
+
+    @pytest.mark.parametrize("raiser", ["helper", "caller", "both"])
+    def test_exception_waits_for_the_helper(self, raiser):
+        # Both halves write into the caller's buffers: whichever raises,
+        # the caller sees the exception only once the helper has stopped.
+        stopped = threading.Event()
+
+        def helper_half():
+            time.sleep(0.05)   # still running when the caller's half ends
+            stopped.set()
+            if raiser != "caller":
+                raise ValueError("helper")
+
+        def caller_half():
+            if raiser != "helper":
+                raise ValueError("caller")
+
+        with helper_thread(), pytest.raises(ValueError) as exc:
+            cac_module._on_two_threads(helper_half, caller_half)
+        assert stopped.is_set()
+        assert str(exc.value) == ("helper" if raiser == "helper" else "caller")
+
+    def test_helper_half_runs_under_the_callers_errstate(self):
+        # A row split gives the helper output row 1, the only one whose
+        # products are inf * 0.  pytest turns a RuntimeWarning into an
+        # error, so a helper that ignored the caller's errstate would fail
+        # the first call.
+        wmat = np.array([[1.0, np.inf]] * 3, dtype=np.float32)
+        rows = np.zeros((3, 8), dtype=np.float32)
+        with helper_thread() as splits:
+            with np.errstate(invalid="ignore"):
+                out = cac_module._tap_loop(wmat, rows)
+            with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+                cac_module._tap_loop(wmat, rows)
+        assert len(splits) == 2
+        assert (out[0] == 0).all() and np.isnan(out[1]).all()
+
+    def test_concurrent_callers_share_the_helper(self):
+        # More callers than cores, switching threads every microsecond:
+        # each caller's output keeps the one-thread bytes.
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((6, 3, 9, 9)).astype(np.float32)
+        params = small_params(rng, 3, 4, gamma=1.0, beta=10.0)
+        with mock.patch.object(cac_module, "_POOL", None):
+            expected = cac_forward_hard(x, params)[0].tobytes()
+        same = []
+
+        def caller():
+            for _ in range(20):
+                same.append(cac_forward_hard(x, params)[0].tobytes() == expected)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # One-image chunks: three pairs per forward.
+            with helper_thread() as splits, mock.patch.object(cac_module, "TAP_TILE", 64), \
+                    ThreadPoolExecutor(max_workers=4) as callers:
+                for future in [callers.submit(caller) for _ in range(4)]:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert same == [True] * 80
+        assert len(splits) == 80 * 3
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or cac_module._POOL is None,
+                        reason="needs fork and a helper thread")
+    def test_forked_child_makes_its_own_helper(self):
+        # Start the parent's helper thread, which a forked child lacks.
+        cac_module._on_two_threads(int, int)
+        child = multiprocessing.get_context("fork").Process(
+            target=cac_module._on_two_threads, args=(int, int))
+        child.start()
+        child.join(timeout=30)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung and child.exitcode == 0
 
 
 class TestMeanRepresentative:

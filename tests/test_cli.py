@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import cacconv
 from cacconv import DataFormatError, InvalidArgument, NumericFailure, verify
 from cacconv.cli import RunConfig, load_config, load_model, main
-from cacconv.data import parse_cifar10_file, synth_dataset, write_cifar10_batch
+from cacconv.data import (load_cifar10_split, parse_cifar10_file, synth_dataset,
+                          write_cifar10_batch)
 from cacconv.layers import Network, model_presets, resolve_model_spec
 from cacconv.train import evaluate, load_checkpoint, save_checkpoint
 
@@ -347,16 +348,19 @@ class TestNonFiniteNets:
             assert len(err) == 1 and err[0].startswith("error: "), (tensor, err)
             assert err[0].endswith(f"at layer {tensor.split('.')[0]}"), (tensor, err)
 
-    @pytest.mark.parametrize("preset, tensor, value", [
-        ("conv_small", "04_conv.weight", np.inf),
-        ("cac_small", "08_cac_conv.weight", np.inf),
-        ("cac_tiny_synth", "00_cac_conv.gate_beta", np.nan),
+    @pytest.mark.parametrize("preset, tensor, value, images", [
+        ("conv_small", "04_conv.weight", np.inf, 4),
+        ("cac_small", "08_cac_conv.weight", np.inf, 4),
+        # A batch of 64 all-sharp images: layer 04 sums every other chunk
+        # of images on the hard path's helper thread.
+        ("cac_small", "04_cac_conv.weight", np.inf, 64),
+        ("cac_tiny_synth", "00_cac_conv.gate_beta", np.nan, 4),
     ])
-    def test_stderr_holds_only_the_error_line(self, tmp_path, preset, tensor, value):
+    def test_stderr_holds_only_the_error_line(self, tmp_path, preset, tensor, value, images):
         # In a fresh interpreter, where no test harness captures numpy's
         # warnings.
         proc = run_cli("eval", "--model", save_model(tmp_path, preset, tensor, value),
-                       "--data", "synthetic", "--synth-n", "4")
+                       "--data", "synthetic", "--synth-n", str(images))
         assert proc.returncode == 1
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
@@ -382,6 +386,20 @@ class TestDataFlags:
             ds = synth_dataset("smooth_vs_textured", 8, seed)
             assert got[split] == evaluate(load_model(model), ds.images, ds.labels).summary()
         assert got["train"] != got["test"]
+
+    @pytest.mark.parametrize("split, present", [("test", "test_batch.bin"),
+                                                ("train", "data_batch_1.bin")])
+    def test_cifar_reads_only_the_requested_split(self, model, tmp_path, capsys, split, present):
+        # The other split's file is absent, so reading it would stop the run.
+        d = tmp_path / "cifar"
+        d.mkdir()
+        write_cifar10_batch(d / present,
+                            np.random.default_rng(0).integers(0, 256, (8, 3, 32, 32), np.uint8),
+                            np.arange(8) % 2)
+        assert main(["eval", "--model", model, "--data", str(d), "--split", split]) == 0
+        ds = load_cifar10_split(d, split)
+        assert json.loads(capsys.readouterr().out) == (
+            evaluate(load_model(model), ds.images, ds.labels).summary())
 
     def test_export_ratios_takes_no_batch_size(self, model, tmp_path, capsys):
         # Nor do eval and analyze: every command evaluates at one batch size.

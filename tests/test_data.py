@@ -9,6 +9,7 @@ from cacconv.data import (
     RECORD_BYTES,
     augment_batch,
     load_cifar10,
+    load_cifar10_split,
     normalize_images,
     parse_cifar10_file,
     synth_dataset,
@@ -77,6 +78,17 @@ class TestCifarBinary:
         # loading twice yields bitwise identical arrays
         train2, _ = load_cifar10(tmp_path)
         assert np.array_equal(train.images, train2.images)
+
+    def test_split_loader_reads_only_its_split(self, tmp_path):
+        imt, lbt = random_batch(2, seed=5)
+        write_cifar10_batch(tmp_path / "test_batch.bin", imt, lbt)
+        test = load_cifar10_split(tmp_path, "test")
+        assert np.array_equal(test.labels, lbt)
+        assert np.array_equal(test.images, normalize_images(imt))
+        with pytest.raises(DataFormatError, match="data_batch"):
+            load_cifar10_split(tmp_path, "train")
+        with pytest.raises(InvalidArgument, match="split"):
+            load_cifar10_split(tmp_path, "val")
 
     def test_missing_batches_rejected(self, tmp_path):
         with pytest.raises(DataFormatError, match="data_batch"):
