@@ -46,18 +46,19 @@ PBAR_MODES = ("center", "mean")
 # at 1024 columns, 10-11 / 21 / 25 ms at 4096 and 10-11 / 27-29 / 25-26
 # ms at 8192 (best of 5).  So tiles and chunks stay at 4096 columns, and a
 # tap loop shared with the helper thread (below) is cut at a tile boundary
-# or between output rows, never inside a tile: half a tile is on the cliff.
+# when it spans two or more tiles, else between output rows, never inside
+# a tile: half a tile is on the cliff.
 TAP_TILE = 4096
 
 # Tap-loop work, in multiply-adds, from which the hard path shares a loop
 # with one helper thread: numpy releases the GIL inside each multiply and
 # add, so the halves overlap on two cores; BLAS threads are not touched.
 # Below it the loop stays on the calling thread, which covers every batch-1
-# layer of cac_small (at most 1.2M).  On a 2-vCPU x86 host (best of 40),
-# two threads summed two 4096-column chunks of layer 08 (75.5M each) in
-# 0.45-0.65x the time one thread took, of layer 04 (18.9M) in 0.65-1.05x
-# and of layer 00 (1.8M) in 1.0x; two batch-1 column matrices of layers
-# 04 and 08 (64-256 columns) took 1.3-1.8x as long.
+# layer of cac_small (at most 1.2M) and layer 00's 4096-column chunks at
+# batch 64 (1.8M).  On a 2-vCPU x86 host (best of 40, two runs), splitting
+# one such chunk between output rows took 0.48-0.89x one thread's time at
+# layer 08 (75.5M), 0.67-1.01x at layer 04 (18.9M) and 1.0-1.3x at layer
+# 00; the batch-1 loops of layers 04 and 08 took 1.15-2.7x as long.
 SPLIT_MADDS = 1 << 22
 
 _POOL: ThreadPoolExecutor | None = None
@@ -373,12 +374,6 @@ def _taps(wmat: np.ndarray, rows: np.ndarray, out: np.ndarray):
     return loop
 
 
-def _splits(madds: int) -> bool:
-    """Whether tap-loop work of ``madds`` multiply-adds is shared with the
-    helper thread."""
-    return _POOL is not None and madds >= SPLIT_MADDS
-
-
 def _on_two_threads(helper_half, caller_half) -> None:
     """Run ``helper_half`` on the helper thread and ``caller_half`` on this
     one, and return once both have stopped.
@@ -405,11 +400,11 @@ def _tap_loop(wmat: np.ndarray, rows: np.ndarray) -> np.ndarray:
     the ``TAP_TILE`` boundary nearest the middle when the columns span two
     or more tiles, else by halves of the output rows.  Either way every
     output scalar runs the same multiplies and adds, so the split changes
-    no bit.  Work below that, and a single output row within one tile,
-    stays on the calling thread."""
+    no bit.  Work below that, and a single output row narrower than two
+    tiles, stays on the calling thread."""
     out = np.zeros((wmat.shape[1], rows.shape[1]), dtype=rows.dtype)
     c_out, columns = out.shape
-    split = _splits(wmat.size * columns)
+    split = _POOL is not None and wmat.size * columns >= SPLIT_MADDS
     if split and columns >= 2 * TAP_TILE:
         mid = round(columns / (2 * TAP_TILE)) * TAP_TILE
         _on_two_threads(_taps(wmat, rows[:, mid:], out[:, mid:]),
@@ -421,15 +416,6 @@ def _tap_loop(wmat: np.ndarray, rows: np.ndarray) -> np.ndarray:
     else:
         _taps(wmat, rows, out)()
     return out
-
-
-def _tap_loop_pair(wmat: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray):
-    """``_tap_loop`` of two column matrices: ``rows_a`` on the calling
-    thread, ``rows_b`` on the helper."""
-    out_a, out_b = (np.zeros((wmat.shape[1], r.shape[1]), dtype=r.dtype)
-                    for r in (rows_a, rows_b))
-    _on_two_threads(_taps(wmat, rows_b, out_b), _taps(wmat, rows_a, out_a))
-    return out_a, out_b
 
 
 def _route(x, w, score, mask, params):
@@ -450,26 +436,19 @@ def _route(x, w, score, mask, params):
     place into a (c_out, N n^2) output, whose row stride is a power of two
     at the cac_small shapes, was slower.  No window reads across an
     image's edge, so a chunk's columns are exactly the full matrix's
-    columns for its windows.  When a chunk's work would split, this
-    thread builds the columns of two chunks and the helper sums the
-    second while this thread sums the first; a last odd chunk goes to
-    ``_tap_loop``.  Only this thread calls ``im2col_batch``."""
+    columns for its windows.  Each chunk's tap loop splits as
+    ``_tap_loop`` says and ends before the next chunk's columns are
+    built, so one chunk's column matrix is alive at a time.  Only this
+    thread calls ``im2col_batch``."""
     sharp = np.flatnonzero(mask.reshape(-1))
     if sharp.size == mask.size:
         n_batch, n2 = x.shape[0], x.shape[2] * x.shape[3]
         wmat = kernel_matrix(w)
         y = np.empty((params.c_out, n_batch * n2), dtype=x.dtype)
         step = max(1, TAP_TILE // n2)
-        pair = _splits(wmat.size * step * n2)
-        for b0 in range(0, n_batch, 2 * step if pair else step):
+        for b0 in range(0, n_batch, step):
             b1 = min(b0 + step, n_batch)
-            b2 = min(b1 + step, n_batch) if pair else b1
-            cols = im2col_batch(x[b0:b1], params.k)
-            if b2 > b1:
-                y[:, b0 * n2:b1 * n2], y[:, b1 * n2:b2 * n2] = _tap_loop_pair(
-                    wmat, cols, im2col_batch(x[b1:b2], params.k))
-            else:
-                y[:, b0 * n2:b1 * n2] = _tap_loop(wmat, cols)
+            y[:, b0 * n2:b1 * n2] = _tap_loop(wmat, im2col_batch(x[b0:b1], params.k))
         return y, None
     y = _tap_loop(aggregate_kernel(w), _pbar_map(x, params))
     y_sharp = _tap_loop(kernel_matrix(w), im2col_batch(x, params.k, sharp))
@@ -520,10 +499,11 @@ def cac_forward_hard(
 
     Uses up to two cores.  A tap loop of at least ``SPLIT_MADDS``
     multiply-adds runs half on this thread and half on one helper
-    thread, split by columns, by output rows, or (all sharp) by chunks of
-    images; smaller loops, such as every batch-1 layer of ``cac_small``,
-    run on this thread alone.  The split changes no output bit, and the
-    helper calls numpy only, under this thread's numpy error state.
+    thread, split at a column tile edge when it spans two or more tiles,
+    else between output rows; smaller loops, such as every batch-1 layer
+    of ``cac_small``, run on this thread alone.  The split changes no
+    output bit, and the helper calls numpy only, under this thread's
+    numpy error state.
     """
     out, partitions, _ = _gated_forward(x, params, _route)
     return out, partitions

@@ -51,6 +51,12 @@ def _type_name(hint) -> str:
     return _TYPE_NAMES[hint]
 
 
+def _json_key(f) -> str:
+    """The JSON key of dataclass field ``f``: its name, unless the field
+    names another (``RunConfig.lam`` is read from "lambda")."""
+    return f.metadata.get("json_key", f.name)
+
+
 def _from_json(cls, given, block=None):
     """Build the dataclass ``cls`` from a JSON object.  Its fields are the
     only list of keys, defaults and JSON types; a field annotated
@@ -58,17 +64,17 @@ def _from_json(cls, given, block=None):
     what = block or "config"
     require(isinstance(given, dict), f"{what} must be a JSON object")
     hints = typing.get_type_hints(cls)
-    unknown = sorted(set(given) - {f.name for f in fields(cls)})
+    unknown = sorted(set(given) - {_json_key(f) for f in fields(cls)})
     require(not unknown, f"unknown {what} keys: {unknown}")
     values = {}
     for f in fields(cls):
-        if f.name not in given:
+        key = _json_key(f)
+        if key not in given:
             continue
-        value, hint = given[f.name], hints[f.name]
+        value, hint = given[key], hints[f.name]
         if is_dataclass(hint):
-            value = _from_json(hint, value, f.name)
+            value = _from_json(hint, value, key)
         elif hint is not object:
-            key = "lambda" if f.name == "lam" else f.name
             label = f"{block}.{key}" if block else key
             require(_has_type(value, hint),
                     f"{label} must be {_type_name(hint)}, got {value!r}")
@@ -98,7 +104,7 @@ class RunConfig:
     seed: int = 0
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     model: object = "cac_small"
-    lam: float = 0.3
+    lam: float = field(default=0.3, metadata={"json_key": "lambda"})
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     epochs: int = 20
     batch_size: int = 64
@@ -117,9 +123,6 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        if isinstance(d, dict) and "lambda" in d:
-            d = dict(d)
-            d["lam"] = d.pop("lambda")
         return _from_json(RunConfig, d)
 
 
@@ -135,6 +138,14 @@ def load_config(path) -> RunConfig:
     return RunConfig.from_dict(_load_json(path, "config"))
 
 
+def _synthetic_split(kind, n, seed, split) -> Dataset:
+    """Synthetic split ``split`` of a run whose seed is ``seed``: "train"
+    is drawn from ``seed`` and "test" from ``seed + 1``.  The seed is
+    checked first, since -1 + 1 would pass."""
+    require(seed >= 0, f"synthetic seed must be non-negative, got {seed}")
+    return synth_dataset(kind, n, seed + (split == "test"))
+
+
 def load_datasets(cfg: RunConfig) -> tuple:
     """(train Dataset, test Dataset) for a config."""
     ds = cfg.dataset
@@ -142,8 +153,8 @@ def load_datasets(cfg: RunConfig) -> tuple:
         require(ds.path, "dataset.path is required for cifar10")
         train, test = load_cifar10(ds.path)
     elif ds.kind == "synthetic":
-        train = synth_dataset(ds.synth_kind, ds.synth_n, ds.synth_seed)
-        test = synth_dataset(ds.synth_kind, ds.synth_test_n, ds.synth_seed + 1)
+        train = _synthetic_split(ds.synth_kind, ds.synth_n, ds.synth_seed, "train")
+        test = _synthetic_split(ds.synth_kind, ds.synth_test_n, ds.synth_seed, "test")
     else:
         raise InvalidArgument(f"unknown dataset kind {ds.kind!r}")
     if ds.subset_size:
@@ -169,12 +180,7 @@ def load_model(ckpt_path, model_spec_path=None) -> Network:
 
 def _eval_dataset(args) -> Dataset:
     if args.data == "synthetic":
-        # The test split is drawn from the next seed, as in load_datasets;
-        # the seed is checked first, since -1 + 1 would pass.
-        require(args.synth_seed >= 0,
-                f"synthetic seed must be non-negative, got {args.synth_seed}")
-        seed = args.synth_seed + (args.split == "test")
-        ds = synth_dataset(args.synth_kind, args.synth_n, seed)
+        ds = _synthetic_split(args.synth_kind, args.synth_n, args.synth_seed, args.split)
     else:
         ds = load_cifar10_split(args.data, args.split)
     if args.subset:

@@ -446,6 +446,17 @@ def _spec_int(desc, key, default=None):
     return value
 
 
+def _with_params(cls, *args, **kwargs):
+    """The layer ``cls(*args, **kwargs)``; parameters too large for memory
+    or for a numpy array are an InvalidArgument."""
+    try:
+        return cls(*args, **kwargs)
+    except InvalidArgument:
+        raise
+    except (MemoryError, ValueError) as exc:
+        raise InvalidArgument(f"cannot allocate its parameters: {exc}") from None
+
+
 class Network:
     """Ordered layer stack with a softmax cross-entropy head.
 
@@ -509,10 +520,10 @@ class Network:
             k = _spec_int(desc, "k", 3)
             require(sp >= k, f"spatial side {sp} smaller than kernel {k}")
             if kind == "cac_conv":
-                layer = CacConv2d(ch, out, k, bias=bias, pbar_mode=pbar_mode,
-                                  rng=rng, dtype=dtype)
+                layer = _with_params(CacConv2d, ch, out, k, bias=bias, pbar_mode=pbar_mode,
+                                     rng=rng, dtype=dtype)
             else:
-                layer = Conv2d(ch, out, k, bias=bias, rng=rng, dtype=dtype)
+                layer = _with_params(Conv2d, ch, out, k, bias=bias, rng=rng, dtype=dtype)
             layer.cost_spec = LayerCostSpec(name, sp, k, ch, out, cac=kind == "cac_conv")
             return layer, (out, sp)
         if kind == "batchnorm":
@@ -531,7 +542,7 @@ class Network:
         if kind == "linear":
             require(sp is _POOLED, "linear head expects pooled features")
             out = _spec_int(desc, "out")
-            layer = Linear(ch, out, bias=bias, rng=rng, dtype=dtype)
+            layer = _with_params(Linear, ch, out, bias=bias, rng=rng, dtype=dtype)
             layer.cost_spec = LayerCostSpec(name, 1, 1, ch, out)
             return layer, (out, _POOLED)
         return None, shape  # softmax_ce

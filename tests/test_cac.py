@@ -249,8 +249,8 @@ class TestHardForward:
         # branch's column count puts tile edges inside both branches.
         # With every loop shared with the helper thread, loops of two or
         # more tiles split at a tile edge, one-tile loops between output
-        # rows (a single row stays whole), and all-sharp chunks go in
-        # pairs, with an odd last chunk at tiles 64 and 162.
+        # rows, and a single row narrower than two tiles stays whole: so
+        # does each all-sharp chunk of one row, as no chunk spans two tiles.
         monkeypatch.setattr(cac_module, "TAP_TILE", tile)
         rng = np.random.default_rng(14)
         x = rng.standard_normal((5, 3, 9, 9)).astype(np.float32)
@@ -266,7 +266,7 @@ class TestHardForward:
         else:
             assert sharp == x.shape[0] * 81
         assert np.array_equal(y_fast, y_ref)
-        one_tile_row = c_out == 1 and tile == 4096
+        one_tile_row = c_out == 1 and (tile == 4096 or gate == "all_sharp")
         assert bool(splits) == (split == "every_loop" and not one_tile_row)
 
     @pytest.mark.parametrize("pbar_mode", ["center", "mean"])
@@ -512,7 +512,7 @@ class TestHelperThread:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            # One-image chunks: three pairs per forward.
+            # One-image chunks of 81 columns: six row splits per forward.
             with helper_thread() as splits, mock.patch.object(cac_module, "TAP_TILE", 64), \
                     ThreadPoolExecutor(max_workers=4) as callers:
                 for future in [callers.submit(caller) for _ in range(4)]:
@@ -520,7 +520,35 @@ class TestHelperThread:
         finally:
             sys.setswitchinterval(interval)
         assert same == [True] * 80
-        assert len(splits) == 80 * 3
+        assert len(splits) == 80 * 6
+
+    def test_all_sharp_chunk_ends_before_the_next_is_built(self):
+        # One chunk's columns at a time: each one-image chunk's tap loop,
+        # split between output rows, returns before the next chunk's
+        # im2col_batch call.
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((3, 3, 9, 9)).astype(np.float32)
+        params = small_params(rng, 3, 4, gamma=1.0, beta=10.0)
+        calls = []
+        real_im2col = cac_module.im2col_batch
+
+        def im2col(*args):
+            calls.append("im2col")
+            return real_im2col(*args)
+
+        with helper_thread(), mock.patch.object(cac_module, "TAP_TILE", 64), \
+                mock.patch.object(cac_module, "im2col_batch", im2col):
+            real_split = cac_module._on_two_threads
+
+            def split(helper_half, caller_half):
+                calls.append("split")
+                real_split(helper_half, caller_half)
+                calls.append("joined")
+
+            with mock.patch.object(cac_module, "_on_two_threads", split):
+                y, _ = cac_forward_hard(x, params)
+        assert calls == ["im2col", "split", "joined"] * 3
+        assert np.array_equal(y, cac_forward_naive(x, params)[0])
 
     @pytest.mark.skipif(not hasattr(os, "fork") or cac_module._POOL is None,
                         reason="needs fork and a helper thread")

@@ -7,7 +7,7 @@ import struct
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -17,18 +17,24 @@ from hypothesis import strategies as st
 
 import cacconv
 from cacconv import DataFormatError, InvalidArgument, NumericFailure, verify
-from cacconv.cli import RunConfig, load_config, load_model, main
+from cacconv.cli import RunConfig, _json_key, load_config, load_model, main
 from cacconv.data import (load_cifar10_split, parse_cifar10_file, synth_dataset,
                           write_cifar10_batch)
 from cacconv.layers import Network, model_presets, resolve_model_spec
 from cacconv.train import evaluate, load_checkpoint, save_checkpoint
 
 
+def config_json(cfg: RunConfig) -> dict:
+    """``cfg`` as the JSON object that ``RunConfig.from_dict`` reads."""
+    values = asdict(cfg)
+    return {_json_key(f): values[f.name] for f in fields(RunConfig)}
+
+
 def config_fields() -> list:
     """Every config field but the model spec, which Network.build checks,
     as a path of JSON keys."""
     paths = []
-    for name, default in asdict(RunConfig()).items():
+    for name, default in config_json(RunConfig()).items():
         if name != "model":
             paths.append((name,))
         if isinstance(default, dict):
@@ -74,6 +80,9 @@ class TestRunConfig:
             with pytest.raises(InvalidArgument, match="must be"):
                 RunConfig.from_dict(bad)
         assert RunConfig.from_dict({"lambda": 1}).lam == 1
+        # The field's name is not a second key for "lambda".
+        with pytest.raises(InvalidArgument, match=re.escape("unknown config keys: ['lam']")):
+            RunConfig.from_dict({"lam": 0.7})
 
     def test_malformed_json_file(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -91,9 +100,7 @@ class TestRunConfig:
     def test_readme_defaults_match_dataclasses(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         shown = readme.split("Defaults shown:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
-        defaults = asdict(RunConfig())
-        defaults["lambda"] = defaults.pop("lam")
-        assert json.loads(shown) == defaults
+        assert json.loads(shown) == config_json(RunConfig())
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(path=st.sampled_from(config_fields()), value=JSON_VALUES)
@@ -104,8 +111,8 @@ class TestRunConfig:
             cfg = RunConfig.from_dict(d)
         except InvalidArgument:
             return
-        assert RunConfig.from_dict(asdict(cfg)) == cfg
-        default = asdict(RunConfig())
+        assert RunConfig.from_dict(config_json(cfg)) == cfg
+        default = config_json(RunConfig())
         for name in path:
             default = default[name]
         if default is not None and not isinstance(default, dict):
@@ -351,8 +358,8 @@ class TestNonFiniteNets:
     @pytest.mark.parametrize("preset, tensor, value, images", [
         ("conv_small", "04_conv.weight", np.inf, 4),
         ("cac_small", "08_cac_conv.weight", np.inf, 4),
-        # A batch of 64 all-sharp images: layer 04 sums every other chunk
-        # of images on the hard path's helper thread.
+        # A batch of 64 all-sharp images: layer 04 sums half the output
+        # rows of each chunk of images on the hard path's helper thread.
         ("cac_small", "04_cac_conv.weight", np.inf, 64),
         ("cac_tiny_synth", "00_cac_conv.gate_beta", np.nan, 4),
     ])
@@ -465,6 +472,20 @@ class TestMalformedInputs:
             tmp_path, json.dumps({"model": spec, "freeze_gates_sharp": False}))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["n"] == 512
+
+    @pytest.mark.parametrize("width", [10 ** 12, 2 ** 62], ids=["past_memory", "past_array_size"])
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_huge_layer_width(self, tmp_path, command, width):
+        # eval reads the spec from model.json, train from its config.
+        spec = resolve_model_spec("cac_tiny_synth")
+        spec["layers"][0]["out"] = width
+        if command == "eval":
+            proc = self.eval_with_spec(tmp_path, json.dumps({"model": spec}))
+        else:
+            cfg_path = write_tiny_config(tmp_path, model=spec)
+            proc = run_cli("train", "--config", str(cfg_path), "--quiet")
+        self.assert_clean_failure(proc)
+        assert "error: layer 0 (cac_conv): cannot allocate its parameters" in proc.stderr
 
     def eval_untrained(self, tmp_path, *flags, command="eval"):
         """``eval`` (or another ``command`` that reads a checkpoint) of a

@@ -340,6 +340,17 @@ class TestNetwork:
         wrongclasses = dict(TINY_SPEC, num_classes=7)
         with pytest.raises(InvalidArgument, match="num_classes"):
             Network.build(wrongclasses, rng=rng)
+        # A layer's own checks keep their message; a weight numpy cannot
+        # allocate is named as such.
+        even = dict(TINY_SPEC, layers=[dict(TINY_SPEC["layers"][0], type="conv", k=2),
+                                       *TINY_SPEC["layers"][1:]])
+        with pytest.raises(InvalidArgument, match=r"^layer 0 \(conv\): kernel size must be odd"):
+            Network.build(even, rng=rng)
+        huge = dict(TINY_SPEC, num_classes=10 ** 12,
+                    layers=[*TINY_SPEC["layers"][:-2], {"type": "linear", "out": 10 ** 12},
+                            {"type": "softmax_ce"}])
+        with pytest.raises(InvalidArgument, match=r"^layer 7 \(linear\): cannot allocate"):
+            Network.build(huge, rng=rng)
 
     def test_input_shape_validated(self):
         rng = np.random.default_rng(13)
