@@ -24,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
-    _conv2d_input_grad,
-    _conv2d_weight_grad,
     channel_mean,
     check_finite,
     col2im_batch,
+    conv_backward,
+    conv_columns,
     im2col_batch,
     kernel_matrix,
     require,
@@ -460,9 +460,8 @@ def _route(x, w, score, mask, params):
 
 def _blend(x, w, score, mask, params):
     """Soft routing: each output pixel is the score-weighted blend."""
-    cols = im2col_batch(x, params.k)
+    cols, y = conv_columns(x, w)
     pbar = _pbar_map(x, params)
-    y = cols.T @ kernel_matrix(w)
     y_1x1 = pbar.T @ aggregate_kernel(w)
     y_diff = y - y_1x1
     # M * y_kxk + (1 - M) * y_1x1, in that order, in the branches' buffers.
@@ -580,19 +579,17 @@ def cac_backward(
     dgamma = float((dz * cache.grad).sum())
     dbeta = float(dz.sum())
 
-    # Kernel: the sharp branch, plus the smooth branch through the
-    # aggregated kernel, spread over the taps.
-    dweight = _conv2d_weight_grad(cache.cols, w, dy_kxk)
+    # Kernel and input through the sharp branch; the kernel also gets the
+    # smooth branch through the aggregated kernel, spread over the taps.
+    dweight, dx = conv_backward(cache.cols, w, dy_kxk, n, input_grad=input_grad)
     dweight += (cache.pbar @ dy_1x1)[None, None, :, :]
 
-    dx = None
     if input_grad:
         dgrad = np.asarray(params.gamma * dz, dtype=dtype)
         dxbar = sobel_gradient_backward(dgrad, cache.gx, cache.gy, cache.grad)
-        # Sharp branch, then dxbar / c_in for every channel, added by
+        # dxbar / c_in for every channel, added to the sharp branch by
         # broadcast in dxbar's dtype: the bits of np.repeat(dxbar / c_in,
         # c_in, axis=1) + dx, as addition commutes.
-        dx = _conv2d_input_grad(w, dy_kxk, n_batch, n)
         dx = np.add(dx, dxbar / c_in, out=dx if dx.dtype == dxbar.dtype else
                     np.empty(dx.shape, dxbar.dtype))
         # Smooth branch through the aggregated kernel.

@@ -21,7 +21,7 @@ from .data import Dataset, load_cifar10, load_cifar10_split, synth_dataset
 from .errors import DataFormatError, InvalidArgument, NumericFailure
 from .ioutil import atomic_write_text
 from .layers import Network, resolve_model_spec  # noqa: F401  bench/workloads.py imports it from here
-from .tensor import require
+from .tensor import allocate, require
 from .train import OptimizerConfig, evaluate, load_checkpoint, train_model
 
 
@@ -143,7 +143,7 @@ def _synthetic_split(kind, n, seed, split) -> Dataset:
     is drawn from ``seed`` and "test" from ``seed + 1``.  The seed is
     checked first, since -1 + 1 would pass."""
     require(seed >= 0, f"synthetic seed must be non-negative, got {seed}")
-    return synth_dataset(kind, n, seed + (split == "test"))
+    return allocate(f"{n} synthetic images", synth_dataset, kind, n, seed + (split == "test"))
 
 
 def load_datasets(cfg: RunConfig) -> tuple:

@@ -82,8 +82,7 @@ def madds_cac(spec: LayerCostSpec, rho) -> CacCostBreakdown:
     omega = madds_standard(spec)
     k2 = spec.k * spec.k
     scoring = float(SCORING_MADDS_PER_WINDOW * spec.n * spec.n)
-    if isinstance(rho, Fraction) or isinstance(rho, int) and not isinstance(rho, bool):
-        rho = Fraction(rho)
+    if isinstance(rho, Fraction):
         require(0 <= rho <= 1, f"rho must lie in [0, 1], got {rho}")
         kxk = float(rho * omega)
         one = float((1 - rho) * Fraction(omega, k2))
@@ -138,10 +137,9 @@ class CostReport:
         buf = io.StringIO()
         buf.write("layer_id,rho_mean,rho_std,omega_conv,omega_cac,rho_bar\n")
         for r in self.rows:
-            rb = "nan" if math.isnan(r.rho_bar) else repr(r.rho_bar)
             buf.write(
                 f"{r.layer_id},{r.rho_mean!r},{r.rho_std!r},"
-                f"{r.omega_conv},{r.omega_cac!r},{rb}\n"
+                f"{r.omega_conv},{r.omega_cac!r},{r.rho_bar!r}\n"
             )
         return buf.getvalue()
 

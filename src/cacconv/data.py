@@ -134,8 +134,8 @@ def _bilinear_matrix(n_out: int, n_in: int) -> np.ndarray:
     return a
 
 
-def synth_dataset(kind: str, n: int, seed: int, size: int = 32) -> Dataset:
-    """Two-class synthetic sets, reproducible from the seed.
+def synth_dataset(kind: str, n: int, seed: int) -> Dataset:
+    """Two-class 3 x 32 x 32 synthetic sets, reproducible from the seed.
 
     smooth_vs_textured: class 0 is a low-frequency blob (bilinear upsample
     of a 4 x 4 field, near-zero gradient energy), class 1 is iid noise
@@ -148,13 +148,13 @@ def synth_dataset(kind: str, n: int, seed: int, size: int = 32) -> Dataset:
     rng = np.random.default_rng(seed)
     half = n // 2
     if kind == "smooth_vs_textured":
-        a = _bilinear_matrix(size, 4)
+        a = _bilinear_matrix(32, 4)
         coarse = rng.normal(0.0, 1.0, (half, 3, 4, 4))
         smooth = np.einsum("ij,ncjk,lk->ncil", a, coarse, a)
-        textured = rng.normal(0.0, 1.0, (half, 3, size, size))
+        textured = rng.normal(0.0, 1.0, (half, 3, 32, 32))
         images = np.concatenate([smooth, textured]).astype(np.float32)
     else:
-        base = rng.normal(0.0, 1.0, (n, 3, size, size))
+        base = rng.normal(0.0, 1.0, (n, 3, 32, 32))
         shift = np.concatenate([np.full(half, -0.5), np.full(half, 0.5)])
         images = (base + shift[:, None, None, None]).astype(np.float32)
     labels = np.concatenate([

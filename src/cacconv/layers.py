@@ -25,10 +25,11 @@ from .cost import LayerCostSpec
 from .errors import InvalidArgument, NumericFailure
 from .tensor import (
     DEFAULT_DTYPE,
-    _conv2d_input_grad,
-    _conv2d_weight_grad,
-    _conv2d_with_cols,
+    allocate,
     check_finite,
+    conv_backward,
+    conv_columns,
+    conv_output,
     require,
 )
 
@@ -82,19 +83,20 @@ class Conv2d(Layer):
         return p
 
     def forward(self, x, train):
-        y, cols = _conv2d_with_cols(x, self.weight, self.bias)
+        cols, y = conv_columns(x, self.weight)
         self._cols = cols if train else None
-        return y
+        return conv_output(y, self.bias, x.shape[0], x.shape[2])
 
     def backward(self, dy, *, input_grad=True):
         """Fills ``grads``; returns the input gradient, or None when
         ``input_grad`` is False."""
-        n_batch, _, n, _ = dy.shape
         dyf = dy.transpose(0, 2, 3, 1).reshape(-1, self.c_out)
-        self.grads = {"weight": _conv2d_weight_grad(self._cols, self.weight, dyf)}
+        dweight, dx = conv_backward(self._cols, self.weight, dyf, dy.shape[2],
+                                    input_grad=input_grad)
+        self.grads = {"weight": dweight}
         if self.bias is not None:
             self.grads["bias"] = dyf.sum(axis=0)
-        return _conv2d_input_grad(self.weight, dyf, n_batch, n) if input_grad else None
+        return dx
 
 
 class CacConv2d(Conv2d):
@@ -437,6 +439,12 @@ _LAYER_KEYS = {
 }
 
 
+def _known_keys(block, allowed, what):
+    """Reject the keys of spec mapping ``block`` outside ``allowed``."""
+    unknown = sorted(set(block) - allowed)
+    require(not unknown, f"unknown {what} keys: {unknown}")
+
+
 def _spec_int(desc, key, default=None):
     """Positive integer field ``key`` of a spec mapping, or ``default`` when absent."""
     value = desc.get(key, default)
@@ -446,24 +454,14 @@ def _spec_int(desc, key, default=None):
     return value
 
 
-def _with_params(cls, *args, **kwargs):
-    """The layer ``cls(*args, **kwargs)``; parameters too large for memory
-    or for a numpy array are an InvalidArgument."""
-    try:
-        return cls(*args, **kwargs)
-    except InvalidArgument:
-        raise
-    except (MemoryError, ValueError) as exc:
-        raise InvalidArgument(f"cannot allocate its parameters: {exc}") from None
-
-
 class Network:
     """Ordered layer stack with a softmax cross-entropy head.
 
     Built from a plain dict spec: {"input": {"channels", "size"},
     "num_classes", "layers": [{"type": ...}, ...]} where layer types are
     conv, cac_conv, batchnorm, relu, avgpool, global_avgpool, linear,
-    and an optional trailing softmax_ce marker.
+    and an optional trailing softmax_ce marker.  A key the spec does not
+    name, in any of its mappings, is an InvalidArgument.
     """
 
     def __init__(self, layers, head, input_shape):
@@ -474,10 +472,13 @@ class Network:
     @staticmethod
     def build(spec: dict, *, rng, dtype=DEFAULT_DTYPE) -> "Network":
         require(isinstance(spec, dict), "model spec must be a mapping")
-        for key in ("input", "num_classes", "layers"):
+        keys = ("input", "num_classes", "layers")
+        for key in keys:
             require(key in spec, f"model spec missing '{key}'")
+        _known_keys(spec, set(keys), "model spec")
         inp = spec["input"]
         require(isinstance(inp, dict), f"model spec 'input' must be an object, got {inp!r}")
+        _known_keys(inp, {"channels", "size"}, "model spec 'input'")
         c, size = _spec_int(inp, "channels"), _spec_int(inp, "size")
         num_classes = _spec_int(spec, "num_classes")
         require(isinstance(spec["layers"], list), "model spec 'layers' must be a list")
@@ -507,8 +508,7 @@ class Network:
     @staticmethod
     def _build_layer(desc, kind, shape, rng, dtype, name):
         require(isinstance(kind, str) and kind in _LAYER_KEYS, f"unknown layer type {kind!r}")
-        unknown = sorted(set(desc) - _LAYER_KEYS[kind] - {"type"})
-        require(not unknown, f"unknown keys: {unknown}")
+        _known_keys(desc, _LAYER_KEYS[kind] | {"type"}, f"{kind} layer")
         bias, pbar_mode = desc.get("bias", True), desc.get("pbar_mode", "center")
         require(isinstance(bias, bool), f"'bias' must be true or false, got {bias!r}")
         require(pbar_mode in PBAR_MODES,
@@ -520,10 +520,11 @@ class Network:
             k = _spec_int(desc, "k", 3)
             require(sp >= k, f"spatial side {sp} smaller than kernel {k}")
             if kind == "cac_conv":
-                layer = _with_params(CacConv2d, ch, out, k, bias=bias, pbar_mode=pbar_mode,
-                                     rng=rng, dtype=dtype)
+                layer = allocate("its parameters", CacConv2d, ch, out, k, bias=bias,
+                                 pbar_mode=pbar_mode, rng=rng, dtype=dtype)
             else:
-                layer = _with_params(Conv2d, ch, out, k, bias=bias, rng=rng, dtype=dtype)
+                layer = allocate("its parameters", Conv2d, ch, out, k, bias=bias, rng=rng,
+                                 dtype=dtype)
             layer.cost_spec = LayerCostSpec(name, sp, k, ch, out, cac=kind == "cac_conv")
             return layer, (out, sp)
         if kind == "batchnorm":
@@ -542,7 +543,7 @@ class Network:
         if kind == "linear":
             require(sp is _POOLED, "linear head expects pooled features")
             out = _spec_int(desc, "out")
-            layer = _with_params(Linear, ch, out, bias=bias, rng=rng, dtype=dtype)
+            layer = allocate("its parameters", Linear, ch, out, bias=bias, rng=rng, dtype=dtype)
             layer.cost_spec = LayerCostSpec(name, 1, 1, ch, out)
             return layer, (out, _POOLED)
         return None, shape  # softmax_ce

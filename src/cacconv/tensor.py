@@ -14,6 +14,14 @@ Conventions used across the package:
   (input channel outer, kernel row, kernel column), which the
   masked-dispatch fast path relies on for bit-exact agreement with the
   reference loop.
+
+This module holds the one dense convolution: ``conv_columns`` (column
+matrix times kernel matrix, one GEMM) and its reverse pass
+``conv_backward``, which ``conv2d``, ``layers.Conv2d`` and the gated
+layer's soft (training) branch all run.  The hard path's tap loop in
+:mod:`cacconv.cac` is the second engine, by design: it adds one tap at
+a time so that its bits equal ``oracle.cac_forward_naive``'s, which a
+GEMM's summation order cannot promise.
 """
 
 from __future__ import annotations
@@ -33,6 +41,17 @@ def require(condition: bool, message: str) -> None:
 def check_finite(arr: np.ndarray, name: str = "array") -> None:
     if not np.isfinite(arr).all():
         raise NumericFailure(f"{name} contains non-finite values")
+
+
+def allocate(what: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; arrays too large for memory or for numpy
+    are an InvalidArgument that names ``what``."""
+    try:
+        return make(*args, **kwargs)
+    except InvalidArgument:
+        raise
+    except (MemoryError, ValueError) as exc:
+        raise InvalidArgument(f"cannot allocate {what}: {exc}") from None
 
 
 def _check_nchw(x: np.ndarray) -> tuple[int, int, int, int]:
@@ -187,42 +206,44 @@ def conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None) -> np.n
     Returns:
         output activations (N, C_out, H, W).
     """
-    return _conv2d_with_cols(x, w, bias)[0]
+    return conv_output(conv_columns(x, w)[1], bias, x.shape[0], x.shape[2])
 
 
-def _conv2d_with_cols(
-    x: np.ndarray, w: np.ndarray, bias: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`conv2d`, also returning the column matrix of ``x`` so a
-    backward pass can reuse it."""
-    n_batch, c_in, h, w_dim = _check_nchw(x)
+def conv_columns(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The dense convolution's GEMM: (cols, y), the column matrix of ``x``
+    and the convolution before bias, y of shape (N*n*n, C_out) with one
+    row per output pixel in column order.  A backward pass reuses
+    ``cols``."""
+    _, c_in, h, w_dim = _check_nchw(x)
     require(h == w_dim, f"spatial dims must be square, got {h}x{w_dim}")
-    k, kc_in, c_out = _check_kernel(w)
+    k, kc_in, _ = _check_kernel(w)
     require(kc_in == c_in, f"channel mismatch: input has {c_in}, kernel expects {kc_in}")
+    cols = im2col_batch(x, k)
+    return cols, cols.T @ kernel_matrix(w)
+
+
+def conv_output(y: np.ndarray, bias: np.ndarray | None, n_batch: int, n: int) -> np.ndarray:
+    """:func:`conv_columns`'s rows ``y`` plus ``bias``, as (N, C_out, n, n)."""
+    c_out = y.shape[1]
     if bias is not None:
         require(bias.shape == (c_out,), f"bias shape {bias.shape} != ({c_out},)")
-    cols = im2col_batch(x, k)
-    y = cols.T @ kernel_matrix(w)  # (N*n*n, c_out)
-    if bias is not None:
         y = y + bias[None, :]
-    out = np.ascontiguousarray(y.reshape(n_batch, h, h, c_out).transpose(0, 3, 1, 2))
-    return out, cols
+    return np.ascontiguousarray(y.reshape(n_batch, n, n, c_out).transpose(0, 3, 1, 2))
 
 
-def _conv2d_weight_grad(cols: np.ndarray, w: np.ndarray, dyf: np.ndarray) -> np.ndarray:
-    """Kernel gradient of :func:`_conv2d_with_cols`, shaped like ``w``.
+def conv_backward(
+    cols: np.ndarray, w: np.ndarray, dyf: np.ndarray, n: int, *, input_grad: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Reverse pass of :func:`conv_columns`: (dweight, dx).
 
-    ``cols`` is the forward's column matrix and ``dyf`` the upstream
-    gradient flattened to (N*n*n, C_out) in output pixel order."""
+    ``cols`` is the forward's column matrix and ``dyf`` the gradient of
+    its rows, (N*n*n, C_out).  dweight is shaped like ``w``; dx is the
+    input gradient (N, C_in, n, n), or None unless ``input_grad``."""
     k, _, c_in, c_out = w.shape
-    return np.ascontiguousarray((cols @ dyf).reshape(c_in, k, k, c_out).transpose(1, 2, 0, 3))
-
-
-def _conv2d_input_grad(w: np.ndarray, dyf: np.ndarray, n_batch: int, n: int) -> np.ndarray:
-    """Input gradient (N, C_in, n, n) of :func:`_conv2d_with_cols`, for
-    ``dyf`` flattened as in :func:`_conv2d_weight_grad`."""
-    k, _, c_in, _ = w.shape
-    return col2im_batch(kernel_matrix(w) @ dyf.T, n_batch, c_in, n, k)
+    dweight = np.ascontiguousarray((cols @ dyf).reshape(c_in, k, k, c_out).transpose(1, 2, 0, 3))
+    if not input_grad:
+        return dweight, None
+    return dweight, col2im_batch(kernel_matrix(w) @ dyf.T, dyf.shape[0] // (n * n), c_in, n, k)
 
 
 def col2im_batch(cols: np.ndarray, n_batch: int, c: int, n: int, k: int) -> np.ndarray:

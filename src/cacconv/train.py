@@ -298,6 +298,8 @@ def load_checkpoint(path) -> dict:
             name = r.take(name_len, f"tensor {idx}: name").decode("utf-8")
         except UnicodeDecodeError:
             raise DataFormatError(f"{path}: tensor {idx}: name is not valid UTF-8") from None
+        if name in tensors:
+            raise DataFormatError(f"{path}: tensor {idx} ({name}): repeated name")
         tag = r.u8(f"tensor {idx} ({name}): dtype tag")
         if tag != _DTYPE_F32:
             raise DataFormatError(f"{path}: tensor {idx} ({name}): unsupported dtype tag {tag}")

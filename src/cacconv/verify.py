@@ -208,8 +208,9 @@ def check_gradients(layer_instances, objective_instances, seed):
             _set_net_params(net, theta)
             logits = net.forward(x, train=True)
             ell, _ = net.head.loss(logits, labels)
+            rho_soft = {name: layer.rho_soft() for name, layer in net.cac_layers()}
             specs = net.cost_specs()
-            rhos = [net.layers[0].rho_soft() if s.cac else 1.0 for s in specs]
+            rhos = [rho_soft.get(s.layer_id, 1.0) for s in specs]
             return float(ell * model_cost(specs, rhos).ratio ** lam)
 
         theta0 = _net_param_vector(net)

@@ -487,6 +487,34 @@ class TestMalformedInputs:
         self.assert_clean_failure(proc)
         assert "error: layer 0 (cac_conv): cannot allocate its parameters" in proc.stderr
 
+    @pytest.mark.parametrize("n", [10 ** 12, 2 ** 62], ids=["past_memory", "past_array_size"])
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_huge_synthetic_set(self, tmp_path, command, n):
+        if command == "eval":
+            proc = self.eval_untrained(tmp_path, "--synth-n", str(n))
+        else:
+            cfg_path = write_tiny_config(tmp_path, dataset={"synth_n": n})
+            proc = run_cli("train", "--config", str(cfg_path), "--quiet")
+        self.assert_clean_failure(proc)
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"error: cannot allocate {n} synthetic images: ")
+
+    @pytest.mark.parametrize("block, expected", [
+        (None, "error: unknown model spec keys: ['bogus']"),
+        ("input", "error: unknown model spec 'input' keys: ['bogus']"),
+    ], ids=["top_level", "input"])
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_unknown_key_in_model_spec(self, tmp_path, command, block, expected):
+        spec = resolve_model_spec("cac_tiny_synth")
+        (spec[block] if block else spec)["bogus"] = 1
+        if command == "eval":
+            proc = self.eval_with_spec(tmp_path, json.dumps({"model": spec}))
+        else:
+            cfg_path = write_tiny_config(tmp_path, model=spec)
+            proc = run_cli("train", "--config", str(cfg_path), "--quiet")
+        self.assert_clean_failure(proc)
+        assert expected in proc.stderr
+
     def eval_untrained(self, tmp_path, *flags, command="eval"):
         """``eval`` (or another ``command`` that reads a checkpoint) of a
         freshly built ``cac_tiny_synth`` on 8 synthetic images."""
@@ -802,6 +830,15 @@ class TestVerifyCommand:
         assert "all 4 checks passed" in out and "FAIL" not in out
         ok_names = [line.split()[1] for line in out.splitlines() if line.startswith("ok ")]
         assert ok_names == ["convolution:", "gated_dispatch:", "gradients:", "cost_model:"]
+
+    def test_objective_prices_each_gated_layer(self, monkeypatch):
+        # The objective instances' spec gates layer 0 alone; a second gated
+        # layer must be priced by its own sharp fraction, not layer 0's.
+        spec = json.loads(json.dumps(verify._OBJECTIVE_SPEC))
+        spec["layers"][4]["type"] = "cac_conv"
+        monkeypatch.setattr(verify, "_OBJECTIVE_SPEC", spec)
+        m = verify.check_gradients(layer_instances=0, objective_instances=2, seed=303)
+        assert m["worst_objective"] <= 1e-3, m["detail"]
 
     def test_verify_failure_prints_manifest(self, capsys, monkeypatch):
         monkeypatch.setattr(verify, "CONV_REL_TOL_F64", 0.0)

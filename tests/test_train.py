@@ -502,3 +502,10 @@ class TestCheckpoint:
         huge_path.write_bytes(bytes(huge))
         with pytest.raises(DataFormatError, match=r"truncated reading tensor 0 \(w\): payload"):
             load_checkpoint(huge_path)
+
+        # the one tensor twice, under a count of 2: the second copy is an
+        # error, not a silent overwrite of the first
+        repeated = tmp_path / "r.ckpt"
+        repeated.write_bytes(raw[:8] + struct.pack("<I", 2) + raw[12:] + raw[12:])
+        with pytest.raises(DataFormatError, match=r"tensor 1 \(w\): repeated name"):
+            load_checkpoint(repeated)
