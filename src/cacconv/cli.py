@@ -17,12 +17,13 @@ from dataclasses import dataclass, field, fields, is_dataclass
 import numpy as np
 
 from .cost import model_cost
-from .data import Dataset, load_cifar10, load_cifar10_split, synth_dataset
+from .data import Dataset, load_cifar10_split, synth_dataset
 from .errors import DataFormatError, InvalidArgument, NumericFailure
 from .ioutil import atomic_write_text
 from .layers import Network, resolve_model_spec  # noqa: F401  bench/workloads.py imports it from here
 from .tensor import allocate, require
 from .train import OptimizerConfig, evaluate, load_checkpoint, train_model
+from .verify import run_all
 
 
 _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string",
@@ -84,7 +85,7 @@ def _from_json(cls, given, block=None):
 
 @dataclass
 class DatasetConfig:
-    """The ``dataset`` block of a RunConfig, read by ``load_datasets``."""
+    """The ``dataset`` block of a RunConfig; ``read_split`` reads its splits."""
 
     kind: str = "synthetic"
     path: str | None = None
@@ -130,7 +131,8 @@ def _load_json(path, what):
     with open(path, "r", encoding="utf-8") as f:
         try:
             return json.load(f)
-        except ValueError as exc:  # bad syntax, bad UTF-8, or an integer too long to read
+        # Bad syntax, bad UTF-8, an integer too long to read, or nesting too deep.
+        except (ValueError, RecursionError) as exc:
             raise InvalidArgument(f"{path}: malformed JSON {what}: {exc}") from None
 
 
@@ -138,30 +140,27 @@ def load_config(path) -> RunConfig:
     return RunConfig.from_dict(_load_json(path, "config"))
 
 
-def _synthetic_split(kind, n, seed, split) -> Dataset:
-    """Synthetic split ``split`` of a run whose seed is ``seed``: "train"
-    is drawn from ``seed`` and "test" from ``seed + 1``.  The seed is
-    checked first, since -1 + 1 would pass."""
-    require(seed >= 0, f"synthetic seed must be non-negative, got {seed}")
-    return allocate(f"{n} synthetic images", synth_dataset, kind, n, seed + (split == "test"))
-
-
 def load_datasets(cfg: RunConfig) -> tuple:
     """(train Dataset, test Dataset) for a config."""
-    ds = cfg.dataset
+    return read_split(cfg.dataset, "train", cfg.seed), read_split(cfg.dataset, "test", cfg.seed + 1)
+
+
+def read_split(ds: DatasetConfig, split: str, subset_seed: int) -> Dataset:
+    """Split ``split`` ("train" or "test") of ``ds``, cut to its subset size by a shuffle from
+    ``subset_seed``.  Synthetic "train" has ``synth_n`` images from ``synth_seed``, "test"
+    ``synth_test_n`` from ``synth_seed + 1``: the seed is checked first, as -1 + 1 would pass."""
+    test = split == "test"
     if ds.kind == "cifar10":
         require(ds.path, "dataset.path is required for cifar10")
-        train, test = load_cifar10(ds.path)
-    elif ds.kind == "synthetic":
-        train = _synthetic_split(ds.synth_kind, ds.synth_n, ds.synth_seed, "train")
-        test = _synthetic_split(ds.synth_kind, ds.synth_test_n, ds.synth_seed, "test")
+        data = load_cifar10_split(ds.path, split)
     else:
-        raise InvalidArgument(f"unknown dataset kind {ds.kind!r}")
-    if ds.subset_size:
-        train = train.subset(ds.subset_size, cfg.seed)
-    if ds.test_subset_size:
-        test = test.subset(ds.test_subset_size, cfg.seed + 1)
-    return train, test
+        require(ds.kind == "synthetic", f"unknown dataset kind {ds.kind!r}")
+        require(ds.synth_seed >= 0, f"synthetic seed must be non-negative, got {ds.synth_seed}")
+        n = ds.synth_test_n if test else ds.synth_n
+        data = allocate(f"{n} synthetic images", synth_dataset,
+                        ds.synth_kind, n, ds.synth_seed + test)
+    size = ds.test_subset_size if test else ds.subset_size
+    return data.subset(size, subset_seed) if size else data
 
 
 def load_model(ckpt_path, model_spec_path=None) -> Network:
@@ -178,14 +177,16 @@ def load_model(ckpt_path, model_spec_path=None) -> Network:
     return net
 
 
-def _eval_dataset(args) -> Dataset:
-    if args.data == "synthetic":
-        ds = _synthetic_split(args.synth_kind, args.synth_n, args.synth_seed, args.split)
-    else:
-        ds = load_cifar10_split(args.data, args.split)
-    if args.subset:
-        ds = ds.subset(args.subset, args.subset_seed)
-    return ds
+def _flag_split(args) -> Dataset:
+    """Split ``--split`` of the flags' data; a flag left out takes a default config's."""
+    test = args.split == "test"
+    given = {"kind": "cifar10", "path": args.data} if args.data != "synthetic" else {}
+    given |= {"synth_kind": args.synth_kind, "synth_seed": args.synth_seed,
+              "synth_test_n" if test else "synth_n": args.synth_n,
+              "test_subset_size" if test else "subset_size": args.subset}
+    ds = DatasetConfig(**{k: v for k, v in given.items() if v is not None})
+    seed = RunConfig.seed + test if args.subset_seed is None else args.subset_seed
+    return read_split(ds, args.split, seed)
 
 
 def cmd_train(args) -> int:
@@ -207,7 +208,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     net = load_model(args.model, args.model_spec)
-    ds = _eval_dataset(args)
+    ds = _flag_split(args)
     res = evaluate(net, ds.images, ds.labels)
     print(json.dumps(res.summary(), indent=2))
     return 0
@@ -215,7 +216,7 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     net = load_model(args.model, args.model_spec)
-    ds = _eval_dataset(args)
+    ds = _flag_split(args)
     res = evaluate(net, ds.images, ds.labels)
     specs = net.cost_specs()
     rhos = [res.per_sample_rho[s.layer_id] if s.cac else 1.0 for s in specs]
@@ -232,7 +233,7 @@ def cmd_export_ratios(args) -> int:
     net = load_model(args.model, args.model_spec)
     gated = net.cac_layers()
     require(gated, "model has no gated layers to export")
-    ds = _eval_dataset(args)
+    ds = _flag_split(args)
     require(0 <= args.image < len(ds), f"image index {args.image} out of range [0, {len(ds)})")
     net.forward(ds.images[args.image:args.image + 1], train=False)
     os.makedirs(args.out, exist_ok=True)
@@ -244,8 +245,6 @@ def cmd_export_ratios(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import run_all
-
     results = run_all(fast=not args.full)
     ok = True
     for r in results:
@@ -277,11 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--data", required=True,
                         help="CIFAR-10 binary directory, or 'synthetic'")
         sp.add_argument("--split", choices=("train", "test"), default="test")
-        sp.add_argument("--subset", type=int, default=0)
-        sp.add_argument("--subset-seed", type=int, default=0)
-        sp.add_argument("--synth-kind", default="smooth_vs_textured")
-        sp.add_argument("--synth-n", type=int, default=512)
-        sp.add_argument("--synth-seed", type=int, default=0)
+        sp.add_argument("--subset", type=int)
+        sp.add_argument("--subset-seed", type=int, help="default follows --split")
+        sp.add_argument("--synth-kind")
+        sp.add_argument("--synth-n", type=int, help="default follows --split")
+        sp.add_argument("--synth-seed", type=int)
         sp.add_argument("--model-spec", default=None,
                         help="model.json path (default: next to the checkpoint)")
 

@@ -10,8 +10,6 @@ costed layer (convolution or linear) carries the ``LayerCostSpec`` that
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from .cac import (
@@ -71,7 +69,6 @@ class Conv2d(Layer):
     def __init__(self, c_in, c_out, k, *, bias=True, rng, dtype=DEFAULT_DTYPE):
         super().__init__()
         require(k % 2 == 1, f"kernel size must be odd, got {k}")
-        self.c_out = c_out
         self.weight = kaiming_normal(rng, (k, k, c_in, c_out), c_in * k * k, dtype)
         self.bias = np.zeros(c_out, dtype=dtype) if bias else None
         self._cols = None
@@ -90,7 +87,7 @@ class Conv2d(Layer):
     def backward(self, dy, *, input_grad=True):
         """Fills ``grads``; returns the input gradient, or None when
         ``input_grad`` is False."""
-        dyf = dy.transpose(0, 2, 3, 1).reshape(-1, self.c_out)
+        dyf = dy.transpose(0, 2, 3, 1).reshape(-1, self.weight.shape[3])
         dweight, dx = conv_backward(self._cols, self.weight, dyf, dy.shape[2],
                                     input_grad=input_grad)
         self.grads = {"weight": dweight}
@@ -181,11 +178,12 @@ class CacConv2d(Conv2d):
 
 
 class BatchNorm2d(Layer):
-    def __init__(self, c, *, eps=1e-5, momentum=0.1, dtype=DEFAULT_DTYPE):
+    eps = 1e-5
+    momentum = 0.1
+
+    def __init__(self, c, *, dtype=DEFAULT_DTYPE):
         super().__init__()
         self.c = c
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = np.ones(c, dtype=dtype)
         self.beta = np.zeros(c, dtype=dtype)
         self.running_mean = np.zeros(c, dtype=dtype)
@@ -303,20 +301,19 @@ class AvgPool2d(Layer):
 
 class GlobalAvgPool(Layer):
     def forward(self, x, train):
-        self._hw = x.shape[2] * x.shape[3]
         self._shape = x.shape
         return x.mean(axis=(2, 3))
 
     def backward(self, dy):
         self.grads = {}
-        return np.broadcast_to(dy[:, :, None, None] / self._hw, self._shape).astype(dy.dtype)
+        h, w = self._shape[2:]
+        return np.broadcast_to(dy[:, :, None, None] / (h * w), self._shape).astype(dy.dtype)
 
 
 class Linear(Layer):
     def __init__(self, n_in, n_out, *, bias=True, rng, dtype=DEFAULT_DTYPE):
         super().__init__()
         self.n_in = n_in
-        self.n_out = n_out
         self.weight = kaiming_normal(rng, (n_in, n_out), n_in, dtype)
         self.bias = np.zeros(n_out, dtype=dtype) if bias else None
         self._x = None
@@ -415,13 +412,15 @@ def model_presets() -> dict:
 
 
 def resolve_model_spec(model) -> dict:
+    """The spec that ``model`` names: a preset's, built afresh on each
+    call, or an inline mapping as given (its readers only read it)."""
     if isinstance(model, str):
         presets = model_presets()
         require(model in presets,
                 f"unknown model preset {model!r}; known: {sorted(presets)}")
-        return copy.deepcopy(presets[model])
+        return presets[model]
     require(isinstance(model, dict), "model must be a preset name or a spec mapping")
-    return copy.deepcopy(model)
+    return model
 
 
 _POOLED = object()

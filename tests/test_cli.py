@@ -381,6 +381,29 @@ class TestDataFlags:
     def model(self, tmp_path):
         return save_model(tmp_path, "cac_tiny_synth")
 
+    def test_defaults_read_what_a_default_config_trains_and_tests_on(self, tmp_path, capsys):
+        # README's sequence: train a default synthetic config, then eval it
+        # with no size or seed flag.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"model": "cac_tiny_synth", "epochs": 1,
+                                   "output_dir": str(tmp_path / "run")}))
+        assert main(["train", "--config", str(cfg), "--quiet"]) == 0
+        out = capsys.readouterr().out
+        final = json.loads(out[out.index("{"):])["final"]
+        model = str(tmp_path / "run" / "model.ckpt")
+
+        def eval_out(*flags):
+            assert main(["eval", "--model", model, "--data", "synthetic", *flags]) == 0
+            return capsys.readouterr().out
+
+        assert eval_out() == json.dumps(final, indent=2) + "\n"
+        net = load_model(model)
+        for flags, ds in ((["--split", "train"], synth_dataset("smooth_vs_textured", 512, 0)),
+                          (["--subset", "10"],
+                           synth_dataset("smooth_vs_textured", 256, 1).subset(10, 1))):
+            expected = evaluate(net, ds.images, ds.labels).summary()
+            assert json.loads(eval_out(*flags)) == expected, flags
+
     def test_synthetic_splits_draw_from_seed_and_next_seed(self, model, capsys):
         # As in a config's dataset block: train from synth_seed, test from
         # synth_seed + 1.
@@ -471,7 +494,7 @@ class TestMalformedInputs:
         proc = self.eval_with_spec(
             tmp_path, json.dumps({"model": spec, "freeze_gates_sharp": False}))
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["n"] == 512
+        assert json.loads(proc.stdout)["n"] == RunConfig().dataset.synth_test_n
 
     @pytest.mark.parametrize("width", [10 ** 12, 2 ** 62], ids=["past_memory", "past_array_size"])
     @pytest.mark.parametrize("command", ["eval", "train"])
@@ -821,6 +844,37 @@ class TestReaderFuzz:
         if any(np.isnan(v).any() or k.endswith(".weight") and not np.isfinite(v).all()
                for k, v in tensors.items()):
             assert code == 1
+
+
+    DEEP = "[" * 200_000 + "]" * 200_000
+
+    def assert_one_error_line(self, proc, expected):
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(expected), line
+
+    def test_deeply_nested_config(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(self.DEEP)
+        self.assert_one_error_line(run_cli("train", "--config", str(path), "--quiet"),
+                                   f"error: {path}: malformed JSON config: ")
+
+    def test_deeply_nested_model_json(self, tmp_path):
+        save_model(tmp_path, "cac_tiny_synth")
+        (tmp_path / "model.json").write_text('{"model": ' + self.DEEP + "}")
+        proc = run_cli("eval", "--model", str(tmp_path / "model.ckpt"), "--data", "synthetic")
+        self.assert_one_error_line(proc, f"error: {tmp_path / 'model.json'}: malformed JSON "
+                                         "model spec: ")
+
+    def test_deeply_nested_model_spec_in_config(self, tmp_path):
+        # Deep enough to stop a recursive copy of the spec, shallow enough
+        # for json.load.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model": {"input": 0}}).replace(
+            "0", "[" * 900 + "]" * 900))
+        self.assert_one_error_line(run_cli("train", "--config", str(path), "--quiet"),
+                                   "error: model spec missing 'num_classes'")
 
 
 class TestVerifyCommand:

@@ -94,12 +94,16 @@ class TestStandardLayers:
 
     def test_batchnorm_running_stats_reach_eval(self):
         rng = np.random.default_rng(1)
-        bn = BatchNorm2d(1, dtype=np.float64, momentum=1.0)
+        bn = BatchNorm2d(1, dtype=np.float64)
         x = rng.standard_normal((16, 1, 4, 4)) * 2 + 5
         bn.forward(x, train=True)
-        assert bn.running_mean[0] == pytest.approx(x.mean(), rel=1e-12)
+        # One step of momentum 0.1 from the initial statistics (0, 1).
+        mean, var = 0.1 * x.mean(), 0.9 + 0.1 * x.var()
+        assert bn.momentum == 0.1
+        assert bn.running_mean[0] == pytest.approx(mean, rel=1e-12)
+        assert bn.running_var[0] == pytest.approx(var, rel=1e-12)
         y_eval = bn.forward(x, train=False)
-        expected = (x - x.mean()) / np.sqrt(x.var() + bn.eps)
+        expected = (x - mean) / np.sqrt(var + bn.eps)
         assert np.allclose(y_eval, expected, atol=1e-10)
 
     def test_conv_grad(self):
