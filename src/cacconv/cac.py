@@ -266,7 +266,12 @@ def score_map(grad: np.ndarray, gamma: float, beta: float) -> np.ndarray:
 
 @dataclass
 class SoftCache:
-    """Everything the soft forward must retain for its backward pass."""
+    """Everything the soft forward must retain for its backward pass.
+
+    It lives as long as its holder keeps it.  ``CacConv2d`` keeps it from a
+    training forward until the backward that reads it, then drops it;
+    ``cac_backward`` only reads it, so a caller that keeps one may run
+    several backwards on it."""
 
     cols: np.ndarray          # (k^2 c_in, N n^2)
     pbar: np.ndarray          # (c_in, N n^2)

@@ -196,7 +196,10 @@ def cmd_train(args) -> int:
         cfg, train.images, train.labels, test.images, test.labels,
         progress=not args.quiet,
     )
-    res = evaluate(result.net, test.images, test.labels)
+    # The last epoch's evaluation, when it ran one, is of this net on these images.
+    res = result.last_eval
+    if res is None:
+        res = evaluate(result.net, test.images, test.labels)
     summary = {
         "checkpoint": result.checkpoint_path,
         "metrics": result.metrics_path,

@@ -59,10 +59,24 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, dy):
+        """Fills ``grads`` and returns the input gradient.  What a training
+        forward keeps for this call lives until this call reads it, so one
+        forward serves one backward; an eval forward keeps nothing for it."""
         raise NotImplementedError
 
     def zero_grads(self):
         self.grads = {}
+
+    def _take(self, attr):
+        """Forward state ``attr``, released as backward takes it.  A
+        backward with none (a second backward on one forward, or one after
+        an eval forward) is an InvalidArgument that names the layer."""
+        state = getattr(self, attr)
+        if state is None:
+            raise InvalidArgument(f"layer {self.name or type(self).__name__}: backward "
+                                  f"without a training forward before it")
+        setattr(self, attr, None)
+        return state
 
 
 class Conv2d(Layer):
@@ -88,7 +102,7 @@ class Conv2d(Layer):
         """Fills ``grads``; returns the input gradient, or None when
         ``input_grad`` is False."""
         dyf = dy.transpose(0, 2, 3, 1).reshape(-1, self.weight.shape[3])
-        dweight, dx = conv_backward(self._cols, self.weight, dyf, dy.shape[2],
+        dweight, dx = conv_backward(self._take("_cols"), self.weight, dyf, dy.shape[2],
                                     input_grad=input_grad)
         self.grads = {"weight": dweight}
         if self.bias is not None:
@@ -148,7 +162,7 @@ class CacConv2d(Conv2d):
         return y
 
     def backward(self, dy, extra_score_grad=None, *, input_grad=True):
-        g = cac_backward(self._cache, dy, extra_score_grad, input_grad=input_grad)
+        g = cac_backward(self._take("_cache"), dy, extra_score_grad, input_grad=input_grad)
         self.grads = {
             "weight": g.dweight,
             "gate_gamma": np.array([g.dgamma]),
@@ -204,6 +218,7 @@ class BatchNorm2d(Layer):
         # in the order of the plain expression.
         gamma, beta = self.gamma[None, :, None, None], self.beta[None, :, None, None]
         if not train:
+            self._cache = None
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
             xhat = x - self.running_mean[None, :, None, None]
             xhat *= inv_std[None, :, None, None]
@@ -228,7 +243,7 @@ class BatchNorm2d(Layer):
         return y
 
     def backward(self, dy):
-        xhat, inv_std = self._cache
+        xhat, inv_std = self._take("_cache")
         m = dy.shape[0] * dy.shape[2] * dy.shape[3]
         axes = (0, 2, 3)
         # (inv_std / m) * (m * dxhat - s1 - xhat * s2), step by step in two
@@ -251,14 +266,15 @@ class BatchNorm2d(Layer):
 
 
 class ReLU(Layer):
+    _mask = None
+
     def forward(self, x, train):
-        if train:
-            self._mask = x > 0
+        self._mask = x > 0 if train else None
         return np.maximum(x, 0)
 
     def backward(self, dy):
         self.grads = {}
-        return dy * self._mask
+        return dy * self._take("_mask")
 
 
 class AvgPool2d(Layer):
@@ -300,14 +316,17 @@ class AvgPool2d(Layer):
 
 
 class GlobalAvgPool(Layer):
+    _shape = None
+
     def forward(self, x, train):
-        self._shape = x.shape
+        self._shape = x.shape if train else None
         return x.mean(axis=(2, 3))
 
     def backward(self, dy):
         self.grads = {}
-        h, w = self._shape[2:]
-        return np.broadcast_to(dy[:, :, None, None] / (h * w), self._shape).astype(dy.dtype)
+        shape = self._take("_shape")
+        h, w = shape[2:]
+        return np.broadcast_to(dy[:, :, None, None] / (h * w), shape).astype(dy.dtype)
 
 
 class Linear(Layer):
@@ -327,15 +346,14 @@ class Linear(Layer):
     def forward(self, x, train):
         require(x.ndim == 2 and x.shape[1] == self.n_in,
                 f"expected (N, {self.n_in}), got {x.shape}")
-        if train:
-            self._x = x
+        self._x = x if train else None
         y = x @ self.weight
         if self.bias is not None:
             y = y + self.bias[None, :]
         return y
 
     def backward(self, dy):
-        self.grads = {"weight": self._x.T @ dy}
+        self.grads = {"weight": self._take("_x").T @ dy}
         if self.bias is not None:
             self.grads["bias"] = dy.sum(axis=0)
         return dy @ self.weight.T
@@ -467,6 +485,7 @@ class Network:
         self.layers = layers
         self.head = head
         self.input_shape = input_shape
+        self._outputs = []
 
     @staticmethod
     def build(spec: dict, *, rng, dtype=DEFAULT_DTYPE) -> "Network":
@@ -550,7 +569,11 @@ class Network:
     def forward(self, x, train: bool):
         """The logits of ``x``.  A layer's NumericFailure, or non-finite
         logits, ends in a NumericFailure that names the first layer whose
-        output went non-finite, or else the layer that raised it."""
+        output went non-finite, or else the layer that raised it.
+
+        For that diagnosis ``_outputs`` keeps every layer's output until
+        the next forward, or until ``backward`` drops them: an eval
+        forward's outputs outlive it, a training forward's do not."""
         require(
             x.ndim == 4 and x.shape[1:] == self.input_shape,
             f"input shape {x.shape[1:]} != model input {self.input_shape}",
@@ -574,7 +597,14 @@ class Network:
         ``score_extras`` maps a gated layer's name to the extra dL/dM its
         score map receives (see :func:`~cacconv.cac.cac_backward`).  Nothing
         reads the gradient of the network's input, so a convolution at the
-        bottom computes its parameter gradients only."""
+        bottom computes its parameter gradients only.
+
+        The forward's layer outputs are dropped first: a forward that
+        returned logits has passed its finiteness check, so nothing reads
+        them.  Each layer then releases its forward state as its own
+        backward reads it, so after this call the network holds no
+        activation of the step, and the next forward runs beside none."""
+        self._outputs = []
         d = dlogits
         for depth, layer in reversed(list(enumerate(self.layers))):
             bottom = {"input_grad": False} if depth == 0 and isinstance(layer, Conv2d) else {}

@@ -326,6 +326,7 @@ class TrainResult:
     metrics: list
     checkpoint_path: str
     metrics_path: str
+    last_eval: EvalResult | None  # the last epoch's test evaluation, if it ran one
 
 
 def _iter_batches(n: int, batch_size: int, rng) -> list:
@@ -403,11 +404,12 @@ def train_model(cfg, train_images, train_labels, test_images=None, test_labels=N
             "rho_hard": {k: _epoch_mean(steps, lambda s: s.rho_hard[k])
                          for k in steps[0].rho_hard},
         }
+        last_eval = None
         if (test_labels is not None and cfg.eval_every
                 and (epoch + 1) % cfg.eval_every == 0):
-            res = evaluate(net, test_images, test_labels)
-            entry["test_top1_error"] = res.top1_error
-            entry["test_madds_mean"] = res.madds_mean
+            last_eval = evaluate(net, test_images, test_labels)
+            entry["test_top1_error"] = last_eval.top1_error
+            entry["test_madds_mean"] = last_eval.madds_mean
         metrics.append(entry)
         atomic_write_text(
             metrics_path, "".join(json.dumps(m) + "\n" for m in metrics)
@@ -417,5 +419,5 @@ def train_model(cfg, train_images, train_labels, test_images=None, test_labels=N
             print(f"epoch {epoch}: ell={entry['ell']:.4f} "
                   f"ratio_hard={entry['cost_ratio_hard']:.4f}")
 
-    return TrainResult(net=net, metrics=metrics,
-                       checkpoint_path=ckpt_path, metrics_path=metrics_path)
+    return TrainResult(net=net, metrics=metrics, checkpoint_path=ckpt_path,
+                       metrics_path=metrics_path, last_eval=last_eval)

@@ -2,11 +2,13 @@
 
 ``bench/tracing.py`` counts each gated forward's routing from its
 ``WindowPartition``s, ``bench/checks.py`` checks the hard path and the
-soft backward against the oracle, and ``bench/workloads.py`` sets up
-each workload and runs and checks its op.  Only the ``slow`` smoke test
-(``tests/test_bench_smoke.py``) runs ``bench/run.py``; this file runs
-those functions in the quick loop (the first two on ``cac_tiny_synth``),
-so a package change that breaks them fails there too.
+soft backward against the oracle, ``bench/workloads.py`` sets up each
+workload and runs and checks its op, and ``bench/run.py``'s
+``retained_bytes`` reads the activations the network keeps after an op.
+Only the ``slow`` smoke test (``tests/test_bench_smoke.py``) runs
+``bench/run.py``; this file runs those functions in the quick loop (the
+first two on ``cac_tiny_synth``), so a package change that breaks them
+fails there too.
 """
 
 import os
@@ -26,6 +28,7 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, BENCH)  # checks.py imports workloads.py as a top-level module
 try:
     import checks
+    import run
     import tracing
     import workloads
 finally:
@@ -141,6 +144,12 @@ def test_oracle_checks_pass():
 @pytest.mark.parametrize("name", ["train_cifar10fmt", "eval_smooth", "eval_sharp"])
 def test_workload_runs_and_checks_its_op(name, tmp_path):
     state = workloads.setup(name, 0, str(tmp_path))
-    assert workloads.check_op(state, workloads.run_op(state))
+    with checks.recorded_inputs(state.net) as (inputs, outputs):
+        assert workloads.check_op(state, workloads.run_op(state))
+    # A train step's backward drops the outputs; an eval op keeps its last
+    # forward's, each the next layer's input or the logits.
+    names = [layer.name for layer in state.net.layers]
+    kept = sum(inputs[n].nbytes for n in names[1:]) + outputs["logits"].nbytes
+    assert run.retained_bytes(state.net) == (0 if name == "train_cifar10fmt" else kept)
     if name != "train_cifar10fmt":
         assert workloads.rho_band_error(state) is None

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 import cacconv
 from cacconv import DataFormatError, InvalidArgument, NumericFailure, verify
+from cacconv import cli as cli_module
+from cacconv import train as train_module
 from cacconv.cli import RunConfig, _json_key, load_config, load_model, main
 from cacconv.data import (load_cifar10_split, parse_cifar10_file, synth_dataset,
                           write_cifar10_batch)
@@ -219,6 +221,29 @@ class TestEndToEnd:
         a = (tmp_path / "a/run/metrics.jsonl").read_bytes()
         b = (tmp_path / "b/run/metrics.jsonl").read_bytes()
         assert a == b
+
+    def test_final_block_reuses_the_last_epochs_evaluation(self, tmp_path, capsys,
+                                                           monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "evaluate", counted)
+        monkeypatch.setattr(train_module, "evaluate", counted)
+        finals = {}
+        # (epochs, eval_every): the test set evaluated each epoch, never,
+        # and at an epoch before the last one.
+        for epochs, every in ((2, 1), (2, 0), (3, 2)):
+            calls.clear()
+            cfg = write_tiny_config(tmp_path, epochs=epochs, eval_every=every,
+                                    output_dir=str(tmp_path / f"run{epochs}{every}"))
+            assert main(["train", "--config", str(cfg), "--quiet"]) == 0
+            out = capsys.readouterr().out
+            finals[epochs, every] = len(calls), out[out.index('"final"'):]
+        assert [n for n, _ in finals.values()] == [2, 1, 2]
+        assert finals[2, 1][1] == finals[2, 0][1]
 
     def test_usage_error_exits_2(self, capsys):
         assert main([]) == 2

@@ -462,8 +462,45 @@ class TestBottomInputGradient:
         layer.forward(x, train=True)
         assert layer.backward(dy).shape == x.shape
         full = {p: g.tobytes() for p, g in layer.grads.items()}
+        layer.forward(x, train=True)  # backward released the first forward's state
         assert layer.backward(dy, input_grad=False) is None
         assert {p: g.tobytes() for p, g in layer.grads.items()} == full
+
+
+# Each layer type whose backward reads what its training forward kept:
+# the layer, its input and an upstream gradient of its output's shape.
+STATEFUL_LAYERS = {
+    "conv": lambda rng: (Conv2d(2, 3, 3, rng=rng), (2, 2, 6, 6), (2, 3, 6, 6)),
+    "cac_conv": lambda rng: (CacConv2d(2, 3, 3, rng=rng), (2, 2, 6, 6), (2, 3, 6, 6)),
+    "batchnorm": lambda rng: (BatchNorm2d(2), (2, 2, 4, 4), (2, 2, 4, 4)),
+    "relu": lambda rng: (ReLU(), (2, 2, 4, 4), (2, 2, 4, 4)),
+    "global_avgpool": lambda rng: (GlobalAvgPool(), (2, 2, 4, 4), (2, 2)),
+    "linear": lambda rng: (Linear(2, 3, rng=rng), (2, 2), (2, 3)),
+}
+
+
+class TestForwardState:
+    @pytest.mark.parametrize("kind", sorted(STATEFUL_LAYERS))
+    @pytest.mark.parametrize("before", ["no_forward", "second_backward", "eval_forward"])
+    def test_backward_without_it_names_the_layer(self, kind, before):
+        rng = np.random.default_rng(19)
+        layer, x_shape, dy_shape = STATEFUL_LAYERS[kind](rng)
+        layer.name = f"03_{kind}"
+        x = rng.standard_normal(x_shape).astype(np.float32)
+        dy = rng.standard_normal(dy_shape).astype(np.float32)
+        if before != "no_forward":
+            layer.forward(x, train=True)
+        if before == "second_backward":
+            layer.backward(dy)
+        if before == "eval_forward":
+            layer.forward(x, train=False)
+        with pytest.raises(InvalidArgument,
+                           match=f"^layer 03_{kind}: backward without a training forward"):
+            layer.backward(dy)
+
+    def test_unnamed_layer_is_named_by_its_type(self):
+        with pytest.raises(InvalidArgument, match="^layer ReLU: backward without"):
+            ReLU().backward(np.ones(3))
 
 
 def per_sample_rho(parts):

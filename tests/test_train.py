@@ -2,6 +2,7 @@ import json
 import math
 import os
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -123,7 +124,39 @@ TINY = {
 }
 
 
+# The attributes in which a layer keeps its training forward's state.
+FORWARD_STATE = ("_cols", "_cache", "_mask", "_x", "_shape")
+
+
 class TestForwardBackward:
+    @pytest.mark.parametrize("preset", ["cac_small", "conv_small"])
+    def test_step_leaves_no_forward_state(self, preset):
+        rng = np.random.default_rng(5)
+        net = Network.build(resolve_model_spec(preset), rng=rng)
+        x = rng.standard_normal((4, 3, 32, 32)).astype(np.float32)
+        forward_backward(net, x, np.array([0, 1, 2, 3]), lam=0.3)
+        sgd_step(net, _opt(), 0.05)
+        assert net._outputs == []
+        held = [(layer.name, attr) for layer in net.layers for attr in FORWARD_STATE
+                if getattr(layer, attr, None) is not None]
+        assert held == []
+
+    def test_step_keeps_little_of_its_peak_memory(self):
+        # Each activation is freed once its backward has read it, so what a
+        # step leaves allocated is its gradients, momenta and gate maps.
+        rng = np.random.default_rng(6)
+        net = Network.build(resolve_model_spec("cac_small"), rng=rng)
+        x = rng.standard_normal((16, 3, 32, 32)).astype(np.float32)
+        labels = rng.integers(0, 10, size=16)
+        tracemalloc.start()
+        try:
+            forward_backward(net, x, labels, lam=0.3)
+            sgd_step(net, _opt(), 0.05)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 0.1 * peak
+
     def test_lambda_zero_equals_plain_task_gradient(self):
         rng = np.random.default_rng(0)
         net = Network.build(TINY, rng=rng)
@@ -189,7 +222,9 @@ class TestForwardBackward:
         x = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)
         forward_backward(net, x, np.array([0, 1, 1, 0]), lam=0.3)
         assert calls == []
-        # The recorders do see the layer's input gradient.
+        # The recorders do see the layer's input gradient, after a fresh
+        # forward: the step's backward released the first one's state.
+        net.forward(x, train=True)
         dx = net.layers[0].backward(rng.standard_normal((4, 4, 8, 8)).astype(np.float32))
         assert dx.shape == x.shape
         assert sorted(calls) == ["col2im_batch", "sobel_gradient_backward"]
