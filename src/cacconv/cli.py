@@ -160,7 +160,7 @@ def read_split(ds: DatasetConfig, split: str, subset_seed: int) -> Dataset:
         data = allocate(f"{n} synthetic images", synth_dataset,
                         ds.synth_kind, n, ds.synth_seed + test)
     size = ds.test_subset_size if test else ds.subset_size
-    return data.subset(size, subset_seed) if size else data
+    return data if size is None else data.subset(size, subset_seed)
 
 
 def load_model(ckpt_path, model_spec_path=None) -> Network:

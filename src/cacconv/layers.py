@@ -213,7 +213,7 @@ class BatchNorm2d(Layer):
     def forward(self, x, train):
         require(x.ndim == 4 and x.shape[1] == self.c,
                 f"expected (N, {self.c}, H, W), got {x.shape}")
-        # x stays untouched (the network keeps every layer's output); the
+        # x stays untouched (an eval network keeps every layer's output); the
         # in-place steps act on fresh buffers, each of its result's dtype,
         # in the order of the plain expression.
         gamma, beta = self.gamma[None, :, None, None], self.beta[None, :, None, None]
@@ -571,24 +571,46 @@ class Network:
         logits, ends in a NumericFailure that names the first layer whose
         output went non-finite, or else the layer that raised it.
 
-        For that diagnosis ``_outputs`` keeps every layer's output until
-        the next forward, or until ``backward`` drops them: an eval
-        forward's outputs outlive it, a training forward's do not."""
+        An eval forward keeps every layer's output in ``_outputs`` until
+        the next forward, and names the layer from them: dropping them
+        made eval slower (ROADMAP, *Measured limits*).  A training forward
+        keeps no output; a failed one re-runs the forward to name the
+        layer (``_first_nonfinite``)."""
         require(
             x.ndim == 4 and x.shape[1:] == self.input_shape,
             f"input shape {x.shape[1:]} != model input {self.input_shape}",
         )
-        self._outputs = []
+        inputs, self._outputs = x, []
         try:
             for layer in self.layers:
                 x = layer.forward(x, train)
-                self._outputs.append((layer.name, x))
+                if not train:
+                    self._outputs.append((layer.name, x))
             check_finite(x, "output")
         except NumericFailure as exc:
-            bad = next((name for name, out in self._outputs if not np.isfinite(out).all()),
-                       layer.name)
+            bad = self._first_nonfinite(inputs) if train else next(
+                (name for name, out in self._outputs if not np.isfinite(out).all()), layer.name)
             raise NumericFailure(f"{exc}: first non-finite activation at layer {bad}") from None
         return x
+
+    def _first_nonfinite(self, x):
+        """The layer whose output first goes non-finite in a training
+        forward of ``x``, or else the layer that raises NumericFailure.
+        Every buffer is restored afterwards, so batch norm's running
+        statistics keep only the failed forward's own update."""
+        saved = [(arr, arr.copy()) for layer in self.layers for arr in layer.buffers().values()]
+        try:
+            for layer in self.layers:
+                try:
+                    x = layer.forward(x, True)
+                except NumericFailure:
+                    break
+                if not np.isfinite(x).all():
+                    break
+            return layer.name
+        finally:
+            for arr, copy in saved:
+                arr[...] = copy
 
     def backward(self, dlogits, score_extras=None):
         """Reverse pass from the loss gradient ``dlogits``: fills every
@@ -599,12 +621,10 @@ class Network:
         reads the gradient of the network's input, so a convolution at the
         bottom computes its parameter gradients only.
 
-        The forward's layer outputs are dropped first: a forward that
-        returned logits has passed its finiteness check, so nothing reads
-        them.  Each layer then releases its forward state as its own
-        backward reads it, so after this call the network holds no
-        activation of the step, and the next forward runs beside none."""
-        self._outputs = []
+        The training forward kept no layer output, and each layer releases
+        its forward state as its own backward reads it, so after this call
+        the network holds no activation of the step, and the next forward
+        runs beside none."""
         d = dlogits
         for depth, layer in reversed(list(enumerate(self.layers))):
             bottom = {"input_grad": False} if depth == 0 and isinstance(layer, Conv2d) else {}

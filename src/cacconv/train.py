@@ -353,6 +353,8 @@ def train_model(cfg, train_images, train_labels, test_images=None, test_labels=N
     NumericFailure on divergence, leaving the last finished epoch's
     checkpoint in place.
     """
+    n = len(train_labels)
+    require(n >= 1, "training set is empty")
     rng = np.random.default_rng(cfg.seed)
     spec = resolve_model_spec(cfg.model)
     net = Network.build(spec, rng=rng)
@@ -370,8 +372,6 @@ def train_model(cfg, train_images, train_labels, test_images=None, test_labels=N
     batch_rng = np.random.default_rng(cfg.seed + 1)
     aug_rng = np.random.default_rng(cfg.seed + 2)
     metrics = []
-    n = len(train_labels)
-    require(n >= 1, "training set is empty")
 
     for epoch in range(cfg.epochs):
         lr = opt.config.lr_at(epoch, cfg.epochs)

@@ -593,7 +593,7 @@ class TestMalformedInputs:
         with pytest.raises(InvalidArgument, match=f"batch size must be >= 1, got {batch_size}"):
             evaluate(net, ds.images, ds.labels, batch_size=batch_size)
 
-    @pytest.mark.parametrize("subset", ["-2", "100000"])
+    @pytest.mark.parametrize("subset", ["-2", "0", "100000"])
     def test_out_of_range_eval_subset(self, tmp_path, subset):
         proc = self.eval_untrained(tmp_path, "--subset", subset)
         self.assert_clean_failure(proc)
@@ -606,8 +606,10 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("dataset", [
         {"kind": "synthetic", "synth_n": 64, "synth_test_n": 32, "subset_size": -2},
+        {"kind": "synthetic", "synth_n": 64, "synth_test_n": 32, "subset_size": 0},
+        {"kind": "synthetic", "synth_n": 64, "synth_test_n": 32, "test_subset_size": 0},
         {"kind": "synthetic", "synth_n": 64, "synth_test_n": 32, "test_subset_size": 100000},
-    ], ids=["negative_subset", "oversized_test_subset"])
+    ], ids=["negative_subset", "zero_subset", "zero_test_subset", "oversized_test_subset"])
     def test_out_of_range_subset_in_config(self, tmp_path, dataset):
         cfg_path = write_tiny_config(tmp_path, dataset=dataset)
         proc = run_cli("train", "--config", str(cfg_path), "--quiet")

@@ -127,6 +127,32 @@ TINY = {
 # The attributes in which a layer keeps its training forward's state.
 FORWARD_STATE = ("_cols", "_cache", "_mask", "_x", "_shape")
 
+# The check that stops a training step on 4 random images when element 0
+# of one parameter tensor is NaN, as the diagnosis from kept layer outputs
+# reported it; each message names the tensor's own layer.
+SCORES = "gate score map contains non-finite values"
+LOGITS = "output contains non-finite values"
+NAN_PARAM_CHECKS = {
+    "cac_tiny_synth": {
+        "00_cac_conv.weight": LOGITS, "00_cac_conv.bias": LOGITS,
+        "00_cac_conv.gate_gamma": SCORES, "00_cac_conv.gate_beta": SCORES,
+        "01_batchnorm.gamma": LOGITS, "01_batchnorm.beta": LOGITS,
+        "04_linear.weight": LOGITS, "04_linear.bias": LOGITS,
+    },
+    "cac_small": {
+        "00_cac_conv.weight": SCORES, "00_cac_conv.bias": SCORES,
+        "00_cac_conv.gate_gamma": SCORES, "00_cac_conv.gate_beta": SCORES,
+        "01_batchnorm.gamma": SCORES, "01_batchnorm.beta": SCORES,
+        "04_cac_conv.weight": SCORES, "04_cac_conv.bias": SCORES,
+        "04_cac_conv.gate_gamma": SCORES, "04_cac_conv.gate_beta": SCORES,
+        "05_batchnorm.gamma": SCORES, "05_batchnorm.beta": SCORES,
+        "08_cac_conv.weight": LOGITS, "08_cac_conv.bias": LOGITS,
+        "08_cac_conv.gate_gamma": SCORES, "08_cac_conv.gate_beta": SCORES,
+        "09_batchnorm.gamma": LOGITS, "09_batchnorm.beta": LOGITS,
+        "12_linear.weight": LOGITS, "12_linear.bias": LOGITS,
+    },
+}
+
 
 class TestForwardBackward:
     @pytest.mark.parametrize("preset", ["cac_small", "conv_small"])
@@ -140,6 +166,51 @@ class TestForwardBackward:
         held = [(layer.name, attr) for layer in net.layers for attr in FORWARD_STATE
                 if getattr(layer, attr, None) is not None]
         assert held == []
+
+    @pytest.mark.parametrize("preset", ["cac_small", "conv_small"])
+    def test_training_forward_keeps_no_output(self, preset):
+        rng = np.random.default_rng(5)
+        net = Network.build(resolve_model_spec(preset), rng=rng)
+        net.forward(rng.standard_normal((4, 3, 32, 32)).astype(np.float32), train=True)
+        assert net._outputs == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_training_forward_updates_batch_norm_once(self):
+        # Naming the layer re-runs the forward; every buffer keeps only the
+        # failed forward's own update, as running the layers by hand does.
+        def build():
+            net = Network.build(resolve_model_spec("cac_small"), rng=np.random.default_rng(2))
+            net.layers[4].weight[...] = np.inf
+            return net
+
+        x = np.random.default_rng(3).standard_normal((4, 3, 32, 32)).astype(np.float32)
+        net, by_hand = build(), build()
+        with pytest.raises(NumericFailure, match="at layer 04_cac_conv$"):
+            net.forward(x, train=True)
+        with pytest.raises(NumericFailure, match="^gate score map"):
+            for layer in by_hand.layers:
+                x = layer.forward(x, True)
+        assert by_hand.layers[1].running_mean.any()
+        got = net.state_dict()
+        for key, arr in by_hand.state_dict().items():
+            assert got[key].tobytes() == arr.tobytes(), key
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("preset", sorted(NAN_PARAM_CHECKS))
+    def test_nan_in_any_parameter_stops_the_step_naming_its_layer(self, preset):
+        checks = NAN_PARAM_CHECKS[preset]
+        names = [name for name, *_ in
+                 Network.build(resolve_model_spec(preset), rng=np.random.default_rng(0))
+                 .named_params()]
+        assert names == list(checks)
+        for name in names:
+            net = Network.build(resolve_model_spec(preset), rng=np.random.default_rng(0))
+            net.state_dict()[name].reshape(-1)[0] = np.nan
+            x = np.random.default_rng(1).standard_normal((4, 3, 32, 32)).astype(np.float32)
+            with pytest.raises(NumericFailure) as exc:
+                forward_backward(net, x, np.array([0, 1, 1, 0]), 0.3)
+            layer = name.split(".")[0]
+            assert str(exc.value) == f"{checks[name]}: first non-finite activation at layer {layer}"
 
     def test_step_keeps_little_of_its_peak_memory(self):
         # Each activation is freed once its backward has read it, so what a
@@ -326,6 +397,12 @@ class TestTrainLoop:
         with open(r2.checkpoint_path, "rb") as f:
             c2 = f.read()
         assert c1 == c2
+
+    def test_empty_training_set_writes_nothing(self, tmp_path):
+        cfg = tiny_cfg(tmp_path)
+        with pytest.raises(InvalidArgument, match="^training set is empty$"):
+            train_model(cfg, np.zeros((0, 3, 32, 32), np.float32), np.zeros(0, np.int64))
+        assert not os.path.exists(cfg.output_dir)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_keeping_last_checkpoint(self, tmp_path):
