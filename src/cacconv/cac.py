@@ -134,11 +134,19 @@ class CacConvParams:
 
 @dataclass
 class WindowPartition:
-    """Per-sample gate state: gradient map, score map, and the hard split."""
+    """Gate state: gradient map, score map, and the hard split.  A gated
+    forward's maps are (N, 1, n, n); ``part[b]`` is sample b's partition,
+    (n, n) views of them, and iteration and ``zip`` walk the samples."""
 
     gradient: np.ndarray
     score: np.ndarray
     sharp_mask: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.gradient)
+
+    def __getitem__(self, b: int) -> WindowPartition:
+        return WindowPartition(self.gradient[b, 0], self.score[b, 0], self.sharp_mask[b, 0])
 
     @property
     def total_windows(self) -> int:
@@ -271,14 +279,14 @@ class SoftCache:
     It lives as long as its holder keeps it.  ``CacConv2d`` keeps it from a
     training forward until the backward that reads it, then drops it;
     ``cac_backward`` only reads it, so a caller that keeps one may run
-    several backwards on it."""
+    several backwards on it.  The backward reads ``partition``'s gradient
+    and score maps; the partition holds no reference back to the cache."""
 
     cols: np.ndarray          # (k^2 c_in, N n^2)
     pbar: np.ndarray          # (c_in, N n^2)
     gx: np.ndarray
     gy: np.ndarray
-    grad: np.ndarray          # (N, 1, n, n)
-    score: np.ndarray         # (N, 1, n, n)
+    partition: WindowPartition
     y_diff: np.ndarray        # (N n^2, c_out): k x k branch minus 1 x 1 branch
     params: CacConvParams
 
@@ -323,13 +331,6 @@ def _pbar_map(x: np.ndarray, params: CacConvParams) -> np.ndarray:
     return window_mean(x, params.k)
 
 
-def _partitions_per_sample(grad, score, mask) -> list[WindowPartition]:
-    return [
-        WindowPartition(gradient=grad[b, 0], score=score[b, 0], sharp_mask=mask[b, 0])
-        for b in range(grad.shape[0])
-    ]
-
-
 def _gated_forward(x: np.ndarray, params: CacConvParams, mix):
     """Skeleton shared by both forwards.
 
@@ -338,20 +339,20 @@ def _gated_forward(x: np.ndarray, params: CacConvParams, mix):
     branch output before bias, shape (C_out, N n^2), together with the
     fields of the ``SoftCache`` the soft backward needs (None if it needs
     none).  Adds the bias, returns to NCHW, and returns
-    (out, partitions, cache).
+    (out, partition, cache).
     """
     n_batch, _, n = _validate_cac_input(x, params)
     w = params.weight.astype(x.dtype, copy=False)
     grad, gx, gy, score = _gate_maps(x, params)
     # Strict: a score of exactly 0.5 routes smooth.
-    mask = score > 0.5
-    y, saved = mix(x, w, score, mask, params)
+    part = WindowPartition(gradient=grad, score=score, sharp_mask=score > 0.5)
+    y, saved = mix(x, w, score, part.sharp_mask, params)
     if params.bias is not None:
         y += params.bias.astype(x.dtype, copy=False)[:, None]
     out = np.ascontiguousarray(y.reshape(params.c_out, n_batch, n, n).transpose(1, 0, 2, 3))
     cache = None if saved is None else SoftCache(
-        gx=gx, gy=gy, grad=grad, score=score, params=params, **saved)
-    return out, _partitions_per_sample(grad, score, mask), cache
+        gx=gx, gy=gy, partition=part, params=params, **saved)
+    return out, part, cache
 
 
 def _taps(wmat: np.ndarray, rows: np.ndarray, out: np.ndarray):
@@ -479,7 +480,7 @@ def _blend(x, w, score, mask, params):
 
 def cac_forward_hard(
     x: np.ndarray, params: CacConvParams
-) -> tuple[np.ndarray, list[WindowPartition]]:
+) -> tuple[np.ndarray, WindowPartition]:
     """Inference forward: every output pixel takes exactly one branch.
 
     Args:
@@ -488,8 +489,8 @@ def cac_forward_hard(
             channel-mean Sobel magnitude of this input.
 
     Returns:
-        (y, partitions): output (N, C_out, H, W) and one WindowPartition
-        per sample.
+        (y, partition): output (N, C_out, H, W) and the batch's
+        WindowPartition, whose maps are (N, 1, H, W).
 
     Only the sharp windows' columns are gathered (``im2col_batch`` with
     window indices) and run the k x k kernel, so its work follows the
@@ -509,18 +510,18 @@ def cac_forward_hard(
     output bit, and the helper calls numpy only, under this thread's
     numpy error state.
     """
-    out, partitions, _ = _gated_forward(x, params, _route)
-    return out, partitions
+    return _gated_forward(x, params, _route)[:2]
 
 
 def cac_forward_soft(
     x: np.ndarray, params: CacConvParams
-) -> tuple[np.ndarray, list[WindowPartition], SoftCache]:
+) -> tuple[np.ndarray, WindowPartition, SoftCache]:
     """Training forward: blend the branches with the gate score.
 
     Output pixel i is  M_i * (k x k branch) + (1 - M_i) * (1 x 1 branch),
     which coincides with the hard routing as the gate saturates and gives
-    the gate parameters exact gradients from the task loss.
+    the gate parameters exact gradients from the task loss.  Returns
+    (y, partition, cache): the hard forward's pair and the ``SoftCache``.
     """
     return _gated_forward(x, params, _blend)
 
@@ -557,7 +558,8 @@ def cac_backward(
     mean, the Sobel maps, and the gate.
     """
     params = cache.params
-    n_batch, c_in, n = cache.grad.shape[0], params.c_in, cache.grad.shape[2]
+    grad, score = cache.partition.gradient, cache.partition.score
+    n_batch, c_in, n = grad.shape[0], params.c_in, grad.shape[2]
     dtype = cache.cols.dtype
     require(
         dy.shape == (n_batch, params.c_out, n, n),
@@ -566,7 +568,6 @@ def cac_backward(
     )
     k = params.k
     k2 = k * k
-    score = cache.score
     m_flat = score.reshape(-1, 1)
     dyf = dy.transpose(0, 2, 3, 1).reshape(-1, params.c_out)
     w = params.weight.astype(dtype, copy=False)
@@ -581,7 +582,7 @@ def cac_backward(
     if extra_score_grad is not None:
         dscore = dscore + np.asarray(extra_score_grad, dtype=score.dtype)
     dz = dscore * score * (1.0 - score)
-    dgamma = float((dz * cache.grad).sum())
+    dgamma = float((dz * grad).sum())
     dbeta = float(dz.sum())
 
     # Kernel and input through the sharp branch; the kernel also gets the
@@ -591,7 +592,7 @@ def cac_backward(
 
     if input_grad:
         dgrad = np.asarray(params.gamma * dz, dtype=dtype)
-        dxbar = sobel_gradient_backward(dgrad, cache.gx, cache.gy, cache.grad)
+        dxbar = sobel_gradient_backward(dgrad, cache.gx, cache.gy, grad)
         # dxbar / c_in for every channel, added to the sharp branch by
         # broadcast in dxbar's dtype: the bits of np.repeat(dxbar / c_in,
         # c_in, axis=1) + dx, as addition commutes.

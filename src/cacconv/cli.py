@@ -242,7 +242,7 @@ def cmd_export_ratios(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for name, layer in gated:
         path = os.path.join(args.out, f"{name}.csv")
-        atomic_write_text(path, layer.last_partitions[0].to_csv())
+        atomic_write_text(path, layer.partition[0].to_csv())
         print(f"wrote {path}")
     return 0
 

@@ -131,7 +131,7 @@ class CacConv2d(Conv2d):
         self.gate_gamma = np.ones(1, dtype=np.float64)
         self.gate_beta = np.zeros(1, dtype=np.float64)
         self._cache = None
-        self.last_partitions = None
+        self.partition = None
 
     def params(self):
         p = super().params()
@@ -153,12 +153,10 @@ class CacConv2d(Conv2d):
 
     def forward(self, x, train):
         if train:
-            y, parts, cache = cac_forward_soft(x, self.conv_params())
-            self._cache = cache
+            y, self.partition, self._cache = cac_forward_soft(x, self.conv_params())
         else:
-            y, parts = cac_forward_hard(x, self.conv_params())
+            y, self.partition = cac_forward_hard(x, self.conv_params())
             self._cache = None
-        self.last_partitions = parts
         return y
 
     def backward(self, dy, extra_score_grad=None, *, input_grad=True):
@@ -173,10 +171,9 @@ class CacConv2d(Conv2d):
         return g.dx
 
     def _stacked(self, field) -> np.ndarray:
-        """One partition field of the last forward, stacked: (N, n^2)."""
-        parts = self.last_partitions
-        require(parts is not None, "no gated forward recorded")
-        return np.stack([getattr(p, field) for p in parts]).reshape(len(parts), -1)
+        """One partition map of the last forward, a row per sample: (N, n^2)."""
+        require(self.partition is not None, "no gated forward recorded")
+        return getattr(self.partition, field).reshape(len(self.partition), -1)
 
     def sharp_counts(self) -> np.ndarray:
         """Sharp windows of each sample in the last forward: (N,) integers."""
@@ -188,7 +185,7 @@ class CacConv2d(Conv2d):
         return float(self._stacked("score").mean(axis=1).astype(np.float64).mean())
 
     def rho_hard(self) -> float:
-        return float((self.sharp_counts() / self.last_partitions[0].total_windows).mean())
+        return float((self.sharp_counts() / self.partition[0].total_windows).mean())
 
 
 class BatchNorm2d(Layer):

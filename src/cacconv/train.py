@@ -40,6 +40,7 @@ class OptimizerConfig:
         require(0 <= self.momentum < 1, "momentum must lie in [0, 1)")
         require(self.weight_decay >= 0, "weight_decay must be non-negative")
         require(self.decay_factor > 0, f"decay_factor must be positive, got {self.decay_factor}")
+        require(min(self.decay_epochs or [0]) >= 0, "decay_epochs entries must be non-negative")
 
     def schedule(self, epochs: int) -> list:
         """Epochs at which the lr is multiplied by ``decay_factor``.  A

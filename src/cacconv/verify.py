@@ -84,10 +84,10 @@ def check_gated_dispatch(instances, saturated, constant_grid, seed):
         x = rng.standard_normal((2, ci, n, n)).astype(np.float32)
         y_fast, parts_fast = cac_forward_hard(x, params)
         y_ref, parts_ref = cac_forward_naive(x, params)
-        same = np.array_equal(y_fast, y_ref)
-        for pf, pr in zip(parts_fast, parts_ref):
-            same = same and np.array_equal(pf.score, pr.score)
-            same = same and np.array_equal(pf.sharp_mask, pr.sharp_mask)
+        same = np.array_equal(y_fast, y_ref) and all(
+            np.array_equal(getattr(pf, f), getattr(pr, f))
+            for pf, pr in zip(parts_fast, parts_ref, strict=True)
+            for f in ("gradient", "score", "sharp_mask"))
         bit_identical += 1 if same else 0
 
     # gate pinned open: both dispatch paths reduce to plain convolution

@@ -1,14 +1,14 @@
 """The benchmark's calls into the package, run directly.
 
-``bench/tracing.py`` counts each gated forward's routing from its
-``WindowPartition``s, ``bench/checks.py`` checks the hard path and the
-soft backward against the oracle, ``bench/workloads.py`` sets up each
-workload and runs and checks its op, and ``bench/run.py``'s
-``retained_bytes`` reads the activations the network keeps after an op.
-Only the ``slow`` smoke test (``tests/test_bench_smoke.py``) runs
-``bench/run.py``; this file runs those functions in the quick loop (the
-first two on ``cac_tiny_synth``), so a package change that breaks them
-fails there too.
+``bench/tracing.py`` counts each gated forward's routing from the
+samples of its ``WindowPartition``, ``bench/checks.py`` checks the
+hard path and the soft backward against the oracle,
+``bench/workloads.py`` sets up each workload and runs and checks its
+op, and ``bench/run.py``'s ``retained_bytes`` reads the activations
+the network keeps after an op.  Only the ``slow`` smoke test
+(``tests/test_bench_smoke.py``) runs ``bench/run.py``; this file runs
+those functions in the quick loop (the first two on ``cac_tiny_synth``),
+so a package change that breaks them fails there too.
 """
 
 import os

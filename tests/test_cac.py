@@ -231,9 +231,10 @@ class TestHardForward:
             y_fast, pf = cac_forward_hard(x, params)
             y_ref, pr = cac_forward_naive(x, params)
             assert np.array_equal(y_fast, y_ref)
-            for a, b in zip(pf, pr):
-                assert np.array_equal(a.sharp_mask, b.sharp_mask)
+            for a, b in zip(pf, pr, strict=True):
+                assert np.array_equal(a.gradient, b.gradient)
                 assert np.array_equal(a.score, b.score)
+                assert np.array_equal(a.sharp_mask, b.sharp_mask)
 
     @pytest.mark.parametrize("split", ["one_thread", "every_loop"])
     @pytest.mark.parametrize("c_out", [1, 4])
@@ -783,14 +784,15 @@ class TestBackward:
         dy = rng.standard_normal((n_batch, c_out, n, n)).astype(dtype)
         g = cac_backward(cache, dy, 0.3)
 
-        score = cache.score
+        score = cache.partition.score
         m = score.reshape(-1, 1)
         dyf = dy.transpose(0, 2, 3, 1).reshape(-1, c_out)
         dscore = (cache.y_diff * dyf).sum(axis=1).reshape(score.shape)
         dscore = dscore + np.asarray(0.3, dtype=score.dtype)
         dz = dscore * score * (1.0 - score)
         dgrad = np.asarray(params.gamma * dz, dtype=dtype)
-        dxbar = cac_module.sobel_gradient_backward(dgrad, cache.gx, cache.gy, cache.grad)
+        dxbar = cac_module.sobel_gradient_backward(dgrad, cache.gx, cache.gy,
+                                                   cache.partition.gradient)
         dx = np.repeat(dxbar / c_in, c_in, axis=1)
         dx += col2im_batch(kernel_matrix(params.weight) @ (m * dyf).T, n_batch, c_in, n, k)
         dpbar = aggregate_kernel(params.weight) @ ((1.0 - m) * dyf).T

@@ -467,6 +467,21 @@ class TestDataFlags:
             assert "unrecognized arguments: --batch-size 4" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["model.ckpt", "model.json"]
 
+    @pytest.mark.parametrize("batch", [8, 64])
+    def test_export_ratios_writes_its_images_partition(self, tmp_path, capsys, batch):
+        # Image 5's CSVs are sample 5 of the batch partition of an eval
+        # forward over the split's first images, layer by layer.
+        model = save_model(tmp_path, "cac_small")
+        out = tmp_path / "ratios"
+        assert main(["export-ratios", "--model", model, "--data", "synthetic",
+                     "--synth-n", "64", "--image", "5", "--out", str(out)]) == 0
+        capsys.readouterr()
+        net = load_model(model)
+        net.forward(synth_dataset("smooth_vs_textured", 64, 1).images[:batch], train=False)
+        for name, layer in net.cac_layers():
+            assert layer.partition[5].to_csv() != layer.partition[0].to_csv()
+            assert (out / f"{name}.csv").read_text() == layer.partition[5].to_csv()
+
     def test_export_ratios_of_ungated_model_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "ratios"
         code = main(["export-ratios", "--model", save_model(tmp_path, "conv_small"),
@@ -622,6 +637,7 @@ class TestMalformedInputs:
          "seed must be non-negative"),
         ({"optimizer": {"lr": 0.05, "decay_factor": 0}}, "decay_factor must be positive"),
         ({"optimizer": {"lr": 0.05, "decay_factor": -1}}, "decay_factor must be positive"),
+        ({"optimizer": {"decay_epochs": [2, -3]}}, "decay_epochs entries must be non-negative"),
         ({"lambda": float("inf")}, "lambda must be a finite number, got inf"),
         ({"optimizer": {"lr": float("inf")}}, "optimizer.lr must be a finite number, got inf"),
         ({"optimizer": {"lr": 0.05, "decay_factor": float("inf")}},
@@ -629,7 +645,7 @@ class TestMalformedInputs:
         ({"optimizer": {"lr": 0.05, "weight_decay": float("inf")}},
          "optimizer.weight_decay must be a finite number, got inf"),
     ], ids=["negative_seed", "negative_synth_seed", "zero_decay_factor",
-            "negative_decay_factor", "infinite_lambda", "infinite_lr",
+            "negative_decay_factor", "negative_decay_epoch", "infinite_lambda", "infinite_lr",
             "infinite_decay_factor", "infinite_weight_decay"])
     def test_out_of_range_value_in_config(self, tmp_path, overrides, expected):
         cfg_path = write_tiny_config(tmp_path, **overrides)

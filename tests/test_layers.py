@@ -498,6 +498,18 @@ class TestForwardState:
                            match=f"^layer 03_{kind}: backward without a training forward"):
             layer.backward(dy)
 
+    def test_gated_layer_keeps_only_its_partition_maps_after_backward(self):
+        # The partition outlives the SoftCache: its three maps own their
+        # buffers, so none of them keeps a cache array alive.
+        rng = np.random.default_rng(23)
+        layer = CacConv2d(3, 4, 3, rng=rng)
+        layer.forward(rng.standard_normal((5, 3, 8, 8)).astype(np.float32), train=True)
+        layer.backward(rng.standard_normal((5, 4, 8, 8)).astype(np.float32))
+        assert layer._cache is None
+        maps = list(vars(layer.partition).values())
+        assert [m.shape for m in maps] == [(5, 1, 8, 8)] * 3
+        assert all(m.base is None for m in maps)
+
     def test_unnamed_layer_is_named_by_its_type(self):
         with pytest.raises(InvalidArgument, match="^layer ReLU: backward without"):
             ReLU().backward(np.ones(3))
@@ -518,13 +530,26 @@ class TestRho:
         score[rng.random(score.shape) < 0.25] = 0.5
         mask = score > 0.5
         layer = CacConv2d(1, 1, 3, rng=rng)
-        layer.last_partitions = [
-            WindowPartition(gradient=np.zeros_like(score[b, 0]), score=score[b, 0],
-                            sharp_mask=mask[b, 0])
-            for b in range(batch)
-        ]
-        assert (layer.rho_soft(), layer.rho_hard()) == per_sample_rho(layer.last_partitions)
+        layer.partition = WindowPartition(gradient=np.zeros_like(score), score=score,
+                                          sharp_mask=mask)
+        assert (layer.rho_soft(), layer.rho_hard()) == per_sample_rho(list(layer.partition))
         assert layer.sharp_counts().tolist() == mask.reshape(batch, -1).sum(axis=1).tolist()
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_cac_small_batch_equals_per_sample_formula(self, train):
+        # The float order of the batched maps' reductions against each
+        # sample's own, on every gated layer of cac_small at batch 64.
+        net = Network.build(resolve_model_spec("cac_small"), rng=np.random.default_rng(21))
+        x = np.random.default_rng(22).standard_normal((64, 3, 32, 32)).astype(np.float32)
+        for _, layer in net.cac_layers():
+            layer.gate_beta[0] = -1.0
+        net.forward(x, train=train)
+        for _, layer in net.cac_layers():
+            parts = list(layer.partition)
+            assert len(parts) == 64 and parts[0].score.shape == layer.partition.score.shape[2:]
+            assert 0 < layer.rho_hard() < 1
+            assert (layer.rho_soft(), layer.rho_hard()) == per_sample_rho(parts)
+            assert layer.sharp_counts().tolist() == [p.sharp_count for p in parts]
 
     @pytest.mark.parametrize("train", [True, False])
     def test_scores_of_exactly_half(self, train):
@@ -534,7 +559,7 @@ class TestRho:
         layer.gate_gamma[0] = 0.0
         layer.forward(rng.standard_normal((5, 2, 7, 7)).astype(np.float32), train=train)
         assert (layer.rho_soft(), layer.rho_hard()) == (0.5, 0.0)
-        assert per_sample_rho(layer.last_partitions) == (0.5, 0.0)
+        assert per_sample_rho(list(layer.partition)) == (0.5, 0.0)
 
     def test_before_any_forward_rejected(self):
         with pytest.raises(InvalidArgument, match="no gated forward"):

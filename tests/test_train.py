@@ -336,7 +336,7 @@ class TestForwardBackward:
         ds = synth_dataset("smooth_vs_textured", 8, 0)
         ds.images[3, 1, 4, 4] = 1e30
         result = evaluate(net, ds.images, ds.labels)
-        part = net.layers[0].last_partitions[3]
+        part = net.layers[0].partition[3]
         overflowed = np.isinf(part.gradient)
         assert overflowed.any() and np.isin(part.score[overflowed], [0.0, 1.0]).all()
         assert np.isfinite([result.top1_error, result.madds_mean, result.madds_std,
@@ -531,7 +531,7 @@ class TestEvaluate:
         static = sum(madds_standard(s) for s in net.cost_specs() if not s.cac)
         want = np.full(16, float(static))
         for name, layer in net.cac_layers():
-            parts = layer.last_partitions
+            parts = layer.partition
             assert 0 < sum(p.sharp_count for p in parts) < sum(p.total_windows for p in parts)
             for i, p in enumerate(parts):
                 rho = Fraction(p.sharp_count, p.total_windows)
