@@ -300,25 +300,6 @@ class CacGrads:
     dbias: np.ndarray | None
 
 
-def _validate_cac_input(x: np.ndarray, params: CacConvParams) -> tuple[int, int, int]:
-    require(x.ndim == 4, "expected input of shape (N, C, H, W)")
-    n_batch, c_in, h, w = x.shape
-    require(h == w, f"spatial dims must be square, got {h}x{w}")
-    require(h >= params.k, f"spatial side {h} smaller than kernel size {params.k}")
-    require(
-        c_in == params.c_in,
-        f"channel mismatch: input has {c_in}, kernel expects {params.c_in}",
-    )
-    return n_batch, c_in, h
-
-
-def _gate_maps(x: np.ndarray, params: CacConvParams):
-    xbar = channel_mean(x)
-    grad, gx, gy = _sobel_with_cache(xbar)
-    score = score_map(grad, params.gamma, params.beta)
-    return grad, gx, gy, score
-
-
 def _pbar_map(x: np.ndarray, params: CacConvParams) -> np.ndarray:
     """Per-window representative pixel, one row per input channel, for
     every window.
@@ -334,19 +315,27 @@ def _pbar_map(x: np.ndarray, params: CacConvParams) -> np.ndarray:
 def _gated_forward(x: np.ndarray, params: CacConvParams, mix):
     """Skeleton shared by both forwards.
 
-    Validates the input, evaluates the gate (score map and hard mask),
-    then calls ``mix(x, w, score, mask, params)``.  ``mix`` returns the
-    branch output before bias, shape (C_out, N n^2), together with the
-    fields of the ``SoftCache`` the soft backward needs (None if it needs
-    none).  Adds the bias, returns to NCHW, and returns
-    (out, partition, cache).
+    Validates the input, evaluates the gate into the batch's
+    ``WindowPartition`` (score map and hard mask), then calls
+    ``mix(x, w, part, params)``.  ``mix`` returns the branch output before
+    bias, shape (C_out, N n^2), together with the fields of the
+    ``SoftCache`` the soft backward needs (None if it needs none).  Adds
+    the bias, returns to NCHW, and returns (out, partition, cache).
     """
-    n_batch, _, n = _validate_cac_input(x, params)
+    require(x.ndim == 4, "expected input of shape (N, C, H, W)")
+    n_batch, c_in, n, width = x.shape
+    require(n == width, f"spatial dims must be square, got {n}x{width}")
+    require(n >= params.k, f"spatial side {n} smaller than kernel size {params.k}")
+    require(
+        c_in == params.c_in,
+        f"channel mismatch: input has {c_in}, kernel expects {params.c_in}",
+    )
     w = params.weight.astype(x.dtype, copy=False)
-    grad, gx, gy, score = _gate_maps(x, params)
+    grad, gx, gy = _sobel_with_cache(channel_mean(x))
+    score = score_map(grad, params.gamma, params.beta)
     # Strict: a score of exactly 0.5 routes smooth.
     part = WindowPartition(gradient=grad, score=score, sharp_mask=score > 0.5)
-    y, saved = mix(x, w, score, part.sharp_mask, params)
+    y, saved = mix(x, w, part, params)
     if params.bias is not None:
         y += params.bias.astype(x.dtype, copy=False)[:, None]
     out = np.ascontiguousarray(y.reshape(params.c_out, n_batch, n, n).transpose(1, 0, 2, 3))
@@ -424,7 +413,7 @@ def _tap_loop(wmat: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _route(x, w, score, mask, params):
+def _route(x, w, part, params):
     """Hard routing: each output pixel takes only the branch its mask
     selects.
 
@@ -446,8 +435,8 @@ def _route(x, w, score, mask, params):
     ``_tap_loop`` says and ends before the next chunk's columns are
     built, so one chunk's column matrix is alive at a time.  Only this
     thread calls ``im2col_batch``."""
-    sharp = np.flatnonzero(mask.reshape(-1))
-    if sharp.size == mask.size:
+    sharp = np.flatnonzero(part.sharp_mask.reshape(-1))
+    if sharp.size == part.total_windows:
         n_batch, n2 = x.shape[0], x.shape[2] * x.shape[3]
         wmat = kernel_matrix(w)
         y = np.empty((params.c_out, n_batch * n2), dtype=x.dtype)
@@ -464,14 +453,14 @@ def _route(x, w, score, mask, params):
     return y, None
 
 
-def _blend(x, w, score, mask, params):
+def _blend(x, w, part, params):
     """Soft routing: each output pixel is the score-weighted blend."""
     cols, y = conv_columns(x, w)
     pbar = _pbar_map(x, params)
     y_1x1 = pbar.T @ aggregate_kernel(w)
     y_diff = y - y_1x1
     # M * y_kxk + (1 - M) * y_1x1, in that order, in the branches' buffers.
-    m_flat = score.reshape(-1, 1)
+    m_flat = part.score.reshape(-1, 1)
     y *= m_flat
     y_1x1 *= 1.0 - m_flat
     y += y_1x1

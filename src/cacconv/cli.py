@@ -1,6 +1,7 @@
 """Command-line surface: train / eval / analyze / export-ratios / verify.
 
-Configs are flat JSON mirroring RunConfig.  All file outputs are atomic.
+Configs are JSON mirroring RunConfig, with ``dataset`` and ``optimizer``
+blocks.  All file outputs are atomic.
 Exit codes: 0 success, 1 run or verification failure, 2 usage error.
 """
 
@@ -99,8 +100,8 @@ class DatasetConfig:
 
 @dataclass
 class RunConfig:
-    """One experiment, loadable from flat JSON (the 'lambda' key maps to
-    ``lam``)."""
+    """One experiment, loadable from a JSON config with ``dataset`` and
+    ``optimizer`` blocks (the 'lambda' key maps to ``lam``)."""
 
     seed: int = 0
     dataset: DatasetConfig = field(default_factory=DatasetConfig)

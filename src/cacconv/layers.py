@@ -42,6 +42,7 @@ class Layer:
 
     name = ""
     cost_spec = None  # LayerCostSpec of a costed layer, set by Network.build
+    _saved = None  # what a training forward keeps for the backward; None after an eval one
 
     def __init__(self):
         self.grads = {}
@@ -60,22 +61,22 @@ class Layer:
 
     def backward(self, dy):
         """Fills ``grads`` and returns the input gradient.  What a training
-        forward keeps for this call lives until this call reads it, so one
-        forward serves one backward; an eval forward keeps nothing for it."""
+        forward keeps for this call (``_saved``) lives until this call reads
+        it, so one forward serves one backward; an eval forward keeps
+        nothing for it."""
         raise NotImplementedError
 
     def zero_grads(self):
         self.grads = {}
 
-    def _take(self, attr):
-        """Forward state ``attr``, released as backward takes it.  A
+    def _take(self):
+        """The forward state ``_saved``, released as backward takes it.  A
         backward with none (a second backward on one forward, or one after
         an eval forward) is an InvalidArgument that names the layer."""
-        state = getattr(self, attr)
+        state, self._saved = self._saved, None
         if state is None:
             raise InvalidArgument(f"layer {self.name or type(self).__name__}: backward "
                                   f"without a training forward before it")
-        setattr(self, attr, None)
         return state
 
 
@@ -85,7 +86,6 @@ class Conv2d(Layer):
         require(k % 2 == 1, f"kernel size must be odd, got {k}")
         self.weight = kaiming_normal(rng, (k, k, c_in, c_out), c_in * k * k, dtype)
         self.bias = np.zeros(c_out, dtype=dtype) if bias else None
-        self._cols = None
 
     def params(self):
         p = {"weight": self.weight}
@@ -95,14 +95,14 @@ class Conv2d(Layer):
 
     def forward(self, x, train):
         cols, y = conv_columns(x, self.weight)
-        self._cols = cols if train else None
+        self._saved = cols if train else None
         return conv_output(y, self.bias, x.shape[0], x.shape[2])
 
     def backward(self, dy, *, input_grad=True):
         """Fills ``grads``; returns the input gradient, or None when
         ``input_grad`` is False."""
         dyf = dy.transpose(0, 2, 3, 1).reshape(-1, self.weight.shape[3])
-        dweight, dx = conv_backward(self._take("_cols"), self.weight, dyf, dy.shape[2],
+        dweight, dx = conv_backward(self._take(), self.weight, dyf, dy.shape[2],
                                     input_grad=input_grad)
         self.grads = {"weight": dweight}
         if self.bias is not None:
@@ -130,7 +130,6 @@ class CacConv2d(Conv2d):
         self.pbar_mode = pbar_mode
         self.gate_gamma = np.ones(1, dtype=np.float64)
         self.gate_beta = np.zeros(1, dtype=np.float64)
-        self._cache = None
         self.partition = None
 
     def params(self):
@@ -153,14 +152,14 @@ class CacConv2d(Conv2d):
 
     def forward(self, x, train):
         if train:
-            y, self.partition, self._cache = cac_forward_soft(x, self.conv_params())
+            y, self.partition, self._saved = cac_forward_soft(x, self.conv_params())
         else:
             y, self.partition = cac_forward_hard(x, self.conv_params())
-            self._cache = None
+            self._saved = None
         return y
 
     def backward(self, dy, extra_score_grad=None, *, input_grad=True):
-        g = cac_backward(self._take("_cache"), dy, extra_score_grad, input_grad=input_grad)
+        g = cac_backward(self._take(), dy, extra_score_grad, input_grad=input_grad)
         self.grads = {
             "weight": g.dweight,
             "gate_gamma": np.array([g.dgamma]),
@@ -199,7 +198,6 @@ class BatchNorm2d(Layer):
         self.beta = np.zeros(c, dtype=dtype)
         self.running_mean = np.zeros(c, dtype=dtype)
         self.running_var = np.ones(c, dtype=dtype)
-        self._cache = None
 
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}
@@ -215,7 +213,7 @@ class BatchNorm2d(Layer):
         # in the order of the plain expression.
         gamma, beta = self.gamma[None, :, None, None], self.beta[None, :, None, None]
         if not train:
-            self._cache = None
+            self._saved = None
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
             xhat = x - self.running_mean[None, :, None, None]
             xhat *= inv_std[None, :, None, None]
@@ -234,13 +232,13 @@ class BatchNorm2d(Layer):
         self.running_var[...] = (1 - self.momentum) * self.running_var + self.momentum * var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         dev *= inv_std[None, :, None, None]
-        self._cache = (dev, inv_std)
+        self._saved = (dev, inv_std)
         y = np.multiply(gamma, dev, out=sq if sq.dtype == np.result_type(gamma, dev) else None)
         y += beta
         return y
 
     def backward(self, dy):
-        xhat, inv_std = self._take("_cache")
+        xhat, inv_std = self._take()
         m = dy.shape[0] * dy.shape[2] * dy.shape[3]
         axes = (0, 2, 3)
         # (inv_std / m) * (m * dxhat - s1 - xhat * s2), step by step in two
@@ -263,15 +261,12 @@ class BatchNorm2d(Layer):
 
 
 class ReLU(Layer):
-    _mask = None
-
     def forward(self, x, train):
-        self._mask = x > 0 if train else None
+        self._saved = x > 0 if train else None
         return np.maximum(x, 0)
 
     def backward(self, dy):
-        self.grads = {}
-        return dy * self._take("_mask")
+        return dy * self._take()
 
 
 class AvgPool2d(Layer):
@@ -304,7 +299,6 @@ class AvgPool2d(Layer):
     def backward(self, dy):
         k = self.k
         n, c, h, w = dy.shape
-        self.grads = {}
         # One broadcast write of each widened row over the k rows it feeds.
         row = np.repeat(dy / (k * k), k, axis=3)
         dx = np.empty((n, c, h, k, w * k), dtype=row.dtype)
@@ -313,15 +307,12 @@ class AvgPool2d(Layer):
 
 
 class GlobalAvgPool(Layer):
-    _shape = None
-
     def forward(self, x, train):
-        self._shape = x.shape if train else None
+        self._saved = x.shape if train else None
         return x.mean(axis=(2, 3))
 
     def backward(self, dy):
-        self.grads = {}
-        shape = self._take("_shape")
+        shape = self._take()
         h, w = shape[2:]
         return np.broadcast_to(dy[:, :, None, None] / (h * w), shape).astype(dy.dtype)
 
@@ -332,7 +323,6 @@ class Linear(Layer):
         self.n_in = n_in
         self.weight = kaiming_normal(rng, (n_in, n_out), n_in, dtype)
         self.bias = np.zeros(n_out, dtype=dtype) if bias else None
-        self._x = None
 
     def params(self):
         p = {"weight": self.weight}
@@ -343,14 +333,14 @@ class Linear(Layer):
     def forward(self, x, train):
         require(x.ndim == 2 and x.shape[1] == self.n_in,
                 f"expected (N, {self.n_in}), got {x.shape}")
-        self._x = x if train else None
+        self._saved = x if train else None
         y = x @ self.weight
         if self.bias is not None:
             y = y + self.bias[None, :]
         return y
 
     def backward(self, dy):
-        self.grads = {"weight": self._take("_x").T @ dy}
+        self.grads = {"weight": self._take().T @ dy}
         if self.bias is not None:
             self.grads["bias"] = dy.sum(axis=0)
         return dy @ self.weight.T
@@ -572,7 +562,8 @@ class Network:
         the next forward, and names the layer from them: dropping them
         made eval slower (ROADMAP, *Measured limits*).  A training forward
         keeps no output; a failed one re-runs the forward to name the
-        layer (``_first_nonfinite``)."""
+        layer (``_first_nonfinite``).  A failed forward of either kind
+        leaves no layer holding forward state (``_saved``)."""
         require(
             x.ndim == 4 and x.shape[1:] == self.input_shape,
             f"input shape {x.shape[1:]} != model input {self.input_shape}",
@@ -587,6 +578,8 @@ class Network:
         except NumericFailure as exc:
             bad = self._first_nonfinite(inputs) if train else next(
                 (name for name, out in self._outputs if not np.isfinite(out).all()), layer.name)
+            for stopped in self.layers:
+                stopped._saved = None
             raise NumericFailure(f"{exc}: first non-finite activation at layer {bad}") from None
         return x
 

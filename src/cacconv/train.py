@@ -350,15 +350,19 @@ def train_model(cfg, train_images, train_labels, test_images=None, test_labels=N
     """Run the full training loop described by a RunConfig.
 
     Writes model.json, metrics.jsonl (rewritten whole each epoch), and
-    model.ckpt (each epoch, atomically) under cfg.output_dir.  Raises
-    NumericFailure on divergence, leaving the last finished epoch's
-    checkpoint in place.
+    model.ckpt (each epoch, atomically) under cfg.output_dir.  A label of
+    either split that the model cannot output is an InvalidArgument
+    raised before anything is written.  Raises NumericFailure on
+    divergence, leaving the last finished epoch's checkpoint in place.
     """
     n = len(train_labels)
     require(n >= 1, "training set is empty")
     rng = np.random.default_rng(cfg.seed)
     spec = resolve_model_spec(cfg.model)
     net = Network.build(spec, rng=rng)
+    for labels in (train_labels, test_labels):
+        if labels is not None:
+            require_labels(labels, spec["num_classes"])
     opt = OptimizerState(config=cfg.optimizer)
 
     out_dir = cfg.output_dir

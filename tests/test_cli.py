@@ -210,6 +210,30 @@ class TestEndToEnd:
         g, m, sharp = rows[0].split(",")[1:]
         assert float(g) >= 0 and 0 <= float(m) <= 1 and sharp in ("0", "1")
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_written_files_take_the_umask(self, tmp_path, capsys, umask):
+        # Every file a command writes has the mode open(path, "w") gives a
+        # new file: 0o666 less the umask.
+        old = os.umask(umask)
+        try:
+            cfg_path = write_tiny_config(tmp_path, epochs=1, batch_size=16, dataset={
+                "kind": "synthetic", "synth_n": 16, "synth_test_n": 8})
+            assert main(["train", "--config", str(cfg_path), "--quiet"]) == 0
+            ckpt = str(tmp_path / "run" / "model.ckpt")
+            data_args = ["--model", ckpt, "--data", "synthetic", "--synth-n", "8"]
+            assert main(["analyze", "--out", str(tmp_path / "out" / "cost.csv")]
+                        + data_args) == 0
+            assert main(["export-ratios", "--image", "0", "--out", str(tmp_path / "out")]
+                        + data_args) == 0
+        finally:
+            os.umask(old)
+        capsys.readouterr()
+        modes = {p.relative_to(tmp_path).as_posix(): p.stat().st_mode & 0o777
+                 for p in tmp_path.rglob("*") if p.is_file() and p.name != "config.json"}
+        assert modes == {name: 0o666 & ~umask for name in (
+            "run/model.json", "run/metrics.jsonl", "run/model.ckpt",
+            "out/cost.csv", "out/cost.totals.json", "out/00_cac_conv.csv")}
+
     def test_train_rerun_is_byte_identical(self, tmp_path, capsys):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
@@ -292,11 +316,11 @@ class TestLabelsOutsideTheModel:
                                 np.arange(16) % 10)
         return d
 
-    def assert_clean_failure(self, code, err):
+    def assert_clean_failure(self, code, err, label="[2-9]"):
         assert code == 1, err
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1, err
-        assert re.fullmatch(r"error: label [2-9] is outside the model's 2 classes \[0, 2\)",
+        assert re.fullmatch(f"error: label {label} is outside the model's 2 classes \\[0, 2\\)",
                             errors[0])
         assert "Traceback" not in err
 
@@ -304,7 +328,25 @@ class TestLabelsOutsideTheModel:
         cfg_path = write_tiny_config(
             tmp_path, epochs=1, batch_size=16, dataset={"kind": "cifar10", "path": str(cifar)})
         code = main(["train", "--config", str(cfg_path), "--quiet"])
-        self.assert_clean_failure(code, capsys.readouterr().err)
+        # The first label in the split's order the model cannot output.
+        self.assert_clean_failure(code, capsys.readouterr().err, label="2")
+        assert [p for p in (tmp_path / "run").rglob("*") if p.is_file()] == []
+
+    def test_train_with_test_labels_only_outside(self, tmp_path, capsys):
+        # The test split is checked before the first epoch, not by the
+        # evaluation after the last one.
+        rng = np.random.default_rng(0)
+        d = tmp_path / "cifar"
+        d.mkdir()
+        for name, labels in (("data_batch_1.bin", np.arange(16) % 2),
+                             ("test_batch.bin", np.array([0, 1, 7, 1]))):
+            write_cifar10_batch(d / name, rng.integers(0, 256, (len(labels), 3, 32, 32),
+                                                       np.uint8), labels)
+        cfg_path = write_tiny_config(
+            tmp_path, epochs=2, batch_size=16, dataset={"kind": "cifar10", "path": str(d)})
+        code = main(["train", "--config", str(cfg_path), "--quiet"])
+        self.assert_clean_failure(code, capsys.readouterr().err, label="7")
+        assert [p for p in (tmp_path / "run").rglob("*") if p.is_file()] == []
 
     def test_eval(self, tmp_path, cifar, capsys):
         code = main(["eval", "--model", save_model(tmp_path, "cac_tiny_synth"),

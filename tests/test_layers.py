@@ -256,7 +256,7 @@ class TestBackwardBits:
 
         y = bn.forward(x, train=True)
         assert y.dtype == ref.dtype and y.tobytes() == ref.tobytes()
-        cached_xhat, cached_inv_std = bn._cache
+        cached_xhat, cached_inv_std = bn._saved
         assert cached_xhat.dtype == xhat.dtype and cached_xhat.tobytes() == xhat.tobytes()
         assert cached_inv_std.tobytes() == inv_std.tobytes()
         assert bn.running_mean.tobytes() == running_mean.astype(bn_dtype).tobytes()
@@ -505,7 +505,7 @@ class TestForwardState:
         layer = CacConv2d(3, 4, 3, rng=rng)
         layer.forward(rng.standard_normal((5, 3, 8, 8)).astype(np.float32), train=True)
         layer.backward(rng.standard_normal((5, 4, 8, 8)).astype(np.float32))
-        assert layer._cache is None
+        assert layer._saved is None
         maps = list(vars(layer.partition).values())
         assert [m.shape for m in maps] == [(5, 1, 8, 8)] * 3
         assert all(m.base is None for m in maps)

@@ -17,7 +17,7 @@ from cacconv import tensor as tensor_module
 from cacconv import train as train_module
 from cacconv.cli import RunConfig
 from cacconv.data import synth_dataset
-from cacconv.layers import Linear, Network, resolve_model_spec
+from cacconv.layers import AvgPool2d, Linear, Network, resolve_model_spec
 from cacconv.train import (
     OptimizerConfig,
     OptimizerState,
@@ -124,9 +124,6 @@ TINY = {
 }
 
 
-# The attributes in which a layer keeps its training forward's state.
-FORWARD_STATE = ("_cols", "_cache", "_mask", "_x", "_shape")
-
 # The check that stops a training step on 4 random images when element 0
 # of one parameter tensor is NaN, as the diagnosis from kept layer outputs
 # reported it; each message names the tensor's own layer.
@@ -163,9 +160,7 @@ class TestForwardBackward:
         forward_backward(net, x, np.array([0, 1, 2, 3]), lam=0.3)
         sgd_step(net, _opt(), 0.05)
         assert net._outputs == []
-        held = [(layer.name, attr) for layer in net.layers for attr in FORWARD_STATE
-                if getattr(layer, attr, None) is not None]
-        assert held == []
+        assert [layer.name for layer in net.layers if layer._saved is not None] == []
 
     @pytest.mark.parametrize("preset", ["cac_small", "conv_small"])
     def test_training_forward_keeps_no_output(self, preset):
@@ -173,6 +168,38 @@ class TestForwardBackward:
         net = Network.build(resolve_model_spec(preset), rng=rng)
         net.forward(rng.standard_normal((4, 3, 32, 32)).astype(np.float32), train=True)
         assert net._outputs == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("preset", ["cac_small", "conv_small"])
+    def test_forward_state_lives_in_one_slot(self, preset):
+        # A training forward keeps its state in ``_saved`` alone: no other
+        # instance attribute, outside the parameters, buffers, gradients
+        # and gate maps, holds an array or a SoftCache.  A forward that
+        # stops empties every slot, as a backward does.
+        def stray(layer):
+            own = {id(a) for a in (*layer.params().values(), *layer.buffers().values())}
+            found = []
+            for attr, value in vars(layer).items():
+                if attr in ("grads", "partition", "_saved"):
+                    continue
+                items = value.values() if isinstance(value, dict) else (
+                    value if isinstance(value, (tuple, list)) else [value])
+                if any(isinstance(item, (np.ndarray, cac_module.SoftCache))
+                       and id(item) not in own for item in items):
+                    found.append(attr)
+            return found
+
+        rng = np.random.default_rng(5)
+        net = Network.build(resolve_model_spec(preset), rng=rng)
+        x = rng.standard_normal((4, 3, 32, 32)).astype(np.float32)
+        net.forward(x, train=True)
+        assert [(layer.name, stray(layer)) for layer in net.layers if stray(layer)] == []
+        assert [layer.name for layer in net.layers if layer._saved is None] == [
+            layer.name for layer in net.layers if isinstance(layer, AvgPool2d)]
+        net.layers[4].weight[...] = np.inf
+        with pytest.raises(NumericFailure, match="at layer 04_"):
+            net.forward(x, train=True)
+        assert [layer.name for layer in net.layers if layer._saved is not None] == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_training_forward_updates_batch_norm_once(self):
